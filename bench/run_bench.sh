@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Runs the wire-path benchmark suites (EXP-SOAP, EXP-OBS, EXP-RESIL,
-# EXP-BATCH) and
+# EXP-BATCH, EXP-NET, EXP-LOOP, EXP-REG, EXP-SHARD) and
 # writes JSON results next to the build tree so runs can be diffed across
 # commits. bench_resilience runs with repetitions and median aggregates:
 # its headline number is a <5% overhead ratio, which a single noisy run
@@ -43,6 +43,13 @@ run bench_batching
 echo "== bench_sockets (hardware) =="
 "$BUILD_DIR/bench/bench_sockets" --out "$OUT_DIR/BENCH_sockets.json"
 echo "   wrote $OUT_DIR/BENCH_sockets.json"
+
+# EXP-LOOP: cross-loop post latency, timer accuracy under a live
+# reactor, wake coalescing and multi-reactor XDR throughput. Not a
+# google-benchmark binary — it takes its own flags and writes its own JSON.
+echo "== bench_eventloop (reactors) =="
+"$BUILD_DIR/bench/bench_eventloop" --out "$OUT_DIR/BENCH_eventloop.json"
+echo "   wrote $OUT_DIR/BENCH_eventloop.json"
 
 # EXP-REG: indexed registry at scale. Not a google-benchmark binary —
 # it sweeps 10k/100k/1M-entry registries and writes its own JSON report;

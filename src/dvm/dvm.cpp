@@ -217,8 +217,6 @@ Result<DvmNode&> Dvm::member(std::string_view node_name) {
   return *found;
 }
 
-DvmNode* Dvm::node(std::string_view node_name) { return lookup_alive(node_name); }
-
 bool Dvm::is_member(std::string_view node_name) const {
   return alive_index(node_name).ok();
 }

@@ -74,10 +74,6 @@ class Dvm {
   /// enrolled and alive.
   Result<DvmNode&> member(std::string_view node_name);
 
-  /// Alive member by name, or nullptr.
-  [[deprecated("use member(); nullptr-returning lookups are being retired")]]
-  DvmNode* node(std::string_view node_name);
-
   bool is_member(std::string_view node_name) const;
 
   /// Every enrolled member, dead ones included — the observable membership

@@ -5,14 +5,10 @@
 namespace h2::kernel {
 
 EventBus::Subscription EventBus::subscribe(std::string topic, Handler handler) {
-  return Subscription(this, add(std::move(topic), std::move(handler)));
-}
-
-EventBus::SubscriptionId EventBus::add(std::string topic, Handler handler) {
   std::lock_guard lock(mu_);
   SubscriptionId id = next_id_++;
   topics_[std::move(topic)].push_back({id, std::move(handler)});
-  return id;
+  return Subscription(this, id);
 }
 
 bool EventBus::remove(SubscriptionId id) {

@@ -71,16 +71,6 @@ class EventBus {
   /// registration; keep it alive for as long as events should arrive.
   Subscription subscribe(std::string topic, Handler handler);
 
-  /// Id-based subscription: caller must pair with unsubscribe() manually.
-  [[deprecated("use subscribe(), whose RAII handle cannot leak the registration")]]
-  SubscriptionId subscribe_unmanaged(std::string topic, Handler handler) {
-    return add(std::move(topic), std::move(handler));
-  }
-
-  /// Removes a subscription by id; false if the id is unknown.
-  [[deprecated("use Subscription::reset() on the handle from subscribe()")]]
-  bool unsubscribe(SubscriptionId id) { return remove(id); }
-
   /// Binds delivery to `loop` (nullptr reverts to inline delivery).
   /// Kernel binds its own loop at construction.
   void bind_loop(loop::EventLoop* loop);
@@ -100,7 +90,6 @@ class EventBus {
     Handler handler;
   };
 
-  SubscriptionId add(std::string topic, Handler handler);
   bool remove(SubscriptionId id);
 
   mutable std::mutex mu_;

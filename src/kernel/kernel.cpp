@@ -80,16 +80,6 @@ Result<const Plugin&> Kernel::get(std::string_view plugin_name) const {
   return *it->second.plugin;
 }
 
-Plugin* Kernel::find(std::string_view plugin_name) {
-  auto it = plugins_.find(plugin_name);
-  return it == plugins_.end() ? nullptr : it->second.plugin.get();
-}
-
-const Plugin* Kernel::find(std::string_view plugin_name) const {
-  auto it = plugins_.find(plugin_name);
-  return it == plugins_.end() ? nullptr : it->second.plugin.get();
-}
-
 std::vector<PluginInfo> Kernel::loaded() const {
   std::vector<PluginInfo> out;
   out.reserve(plugins_.size());

@@ -50,12 +50,6 @@ class Kernel {
   Result<Plugin&> get(std::string_view plugin_name);
   Result<const Plugin&> get(std::string_view plugin_name) const;
 
-  /// Loaded plugin by name, or nullptr.
-  [[deprecated("use get(); nullptr-returning lookups are being retired")]]
-  Plugin* find(std::string_view plugin_name);
-  [[deprecated("use get(); nullptr-returning lookups are being retired")]]
-  const Plugin* find(std::string_view plugin_name) const;
-
   std::vector<PluginInfo> loaded() const;
   std::size_t plugin_count() const { return plugins_.size(); }
 

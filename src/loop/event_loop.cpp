@@ -1,5 +1,6 @@
 #include "loop/event_loop.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <utility>
 
@@ -44,7 +45,8 @@ void EventLoop::dispatch(Task task) {
 
 TimerId EventLoop::schedule_impl(Nanos delay, Nanos period, Task task) {
   std::lock_guard lock(mu_);
-  TimerId id = wheel_.add(now_locked(), delay, std::move(task), period);
+  TimerId id = wheel_.add(now_locked(), delay,
+                          Timer{std::move(task), std::max<Nanos>(period, 0)});
   ++stats_.timers_scheduled;
   if (driver_ != nullptr) driver_->wake();  // re-derive the wait deadline
   return id;
@@ -231,15 +233,29 @@ std::size_t EventLoop::drain(std::size_t max) {
 }
 
 std::size_t EventLoop::fire_timers(Nanos now) {
-  std::vector<TimerWheel::Due> due;
+  std::vector<HierWheel<Timer>::Due> due;
   {
     std::lock_guard lock(mu_);
-    wheel_.collect_due(now, due);
+    const std::size_t collected = wheel_.collect_due(now, due);
+    // Re-arm periodic timers under their old id before any task runs, so
+    // a task may cancel its own timer. One that fell behind fires once
+    // per missed period, each copy interleaved by deadline below.
+    for (std::size_t i = 0; i < collected; ++i) {
+      const Nanos period = due[i].payload.period;
+      if (period == 0) continue;
+      const TimerId id = due[i].id;
+      Nanos next = saturating_add(due[i].deadline, period);
+      for (; next <= now; next = saturating_add(next, period)) {
+        due.push_back({id, next, due[i].payload});
+      }
+      wheel_.rearm(id, next, due[i].payload);
+    }
+    if (due.size() > collected) std::sort(due.begin(), due.end());
     stats_.timers_fired += due.size();
   }
   if (due.empty()) return 0;
   CurrentGuard guard(*this);
-  for (auto& timer : due) timer.task();
+  for (auto& timer : due) timer.payload.task();
   return due.size();
 }
 

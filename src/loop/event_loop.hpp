@@ -1,8 +1,9 @@
 // EventLoop — the dispatch seam every kernel, container, and transport
 // reactor binds to. One loop owns: an MPSC task queue (cross-loop
-// post()), a hashed timer wheel (heartbeats, anti-entropy, backoff),
-// and an fd-interest table (socket readiness callbacks). The loop
-// itself never starts a thread; a *driver* decides how it runs:
+// post()), a hierarchical timer wheel (heartbeats, anti-entropy,
+// backoff; the loop re-arms periodic timers itself), and an fd-interest
+// table (socket readiness callbacks). The loop itself never starts a
+// thread; a *driver* decides how it runs:
 //
 //   - no driver ("eager" mode, the default): post()/dispatch() run
 //     tasks inline on the calling thread, exactly the synchronous
@@ -32,7 +33,7 @@
 #include <thread>
 #include <vector>
 
-#include "loop/timer_wheel.hpp"
+#include "loop/hier_wheel.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
 
@@ -196,6 +197,12 @@ class EventLoop {
     bool top_;
   };
 
+  /// A wheel entry: the task and its period (0 = one-shot).
+  struct Timer {
+    Task task;
+    Nanos period;
+  };
+
   TimerId schedule_impl(Nanos delay, Nanos period, Task task);
   Nanos now_locked() const;
 
@@ -204,7 +211,7 @@ class EventLoop {
 
   mutable std::mutex mu_;
   std::deque<Task> queue_;
-  TimerWheel wheel_;
+  HierWheel<Timer> wheel_;
   std::map<int, FdEntry> fds_;
   Driver* driver_ = nullptr;
   bool draining_ = false;

@@ -1,25 +1,25 @@
-// Hierarchical (cascading) timing wheel. The single-level TimerWheel is
-// sized for short reactor timers: a deadline far beyond one rotation
-// shares a slot with near deadlines and gets touched once per rotation,
-// so a table of 1M long-lived leases would be rescanned over and over.
-// Here level k has slots of width tick * slots^k — a lease lands in the
-// coarsest level whose horizon covers it and *cascades* down one level
-// at a time as its deadline approaches, so every entry is touched
-// O(levels) times total and a collection costs O(elapsed ticks +
-// cascaded + due), independent of how many timers are parked. This is
-// the registry's lease wheel: 1M leases expire in O(expired) per tick.
+// Hierarchical (cascading) timing wheel — the one timer mechanism in
+// the tree. EventLoop arms its one-shot and periodic timers here
+// (payload: the task), and the registry arms one lease per publication
+// (payload: a doc id). Level k has slots of width tick * slots^k — an
+// entry lands in the coarsest level whose horizon covers it and
+// *cascades* down one level at a time as its deadline approaches, so
+// every entry is touched O(levels) times total and a collection costs
+// O(elapsed ticks + cascaded + due), independent of how many timers are
+// parked: 1M leases expire in O(expired) per tick.
 //
-// The payload is caller data (the registry stores doc ids), not a
-// callback, so collections stay allocation-light and the owner resolves
-// payloads under its own lock.
+// The payload is caller data, not a callback contract: collections move
+// payloads out and the owner runs or resolves them under its own lock.
+// Periodicity is the owner's business too — EventLoop re-arms a fired
+// periodic timer under its old id with rearm().
 //
 // Determinism: collect_due() returns entries sorted by (deadline, id),
-// the same contract as TimerWheel. A clock leap past a level's whole
-// rotation degrades to one full sweep of that level instead of walking
-// every elapsed tick.
+// so the sim harness replays byte-identical schedules. A clock leap past
+// a level's whole rotation degrades to one full sweep of that level
+// instead of walking every elapsed tick.
 //
-// Not thread-safe: the owner serializes access (XmlRegistry holds its
-// write lock across mutations).
+// Not thread-safe: the owner serializes access (EventLoop under its
+// mutex, XmlRegistry under its write lock).
 #pragma once
 
 #include <algorithm>
@@ -29,10 +29,14 @@
 #include <set>
 #include <vector>
 
-#include "loop/timer_wheel.hpp"
 #include "util/clock.hpp"
 
 namespace h2::loop {
+
+using TimerId = std::uint64_t;
+
+/// Sentinel returned by next_deadline() when no timer is armed.
+constexpr Nanos kNoDeadline = std::numeric_limits<Nanos>::max();
 
 template <typename Payload>
 class HierWheel {
@@ -66,17 +70,19 @@ class HierWheel {
   /// collection). Returns an id for cancel().
   TimerId add(Nanos now, Nanos delay, Payload payload) {
     start(now);
-    Nanos deadline = saturating_add(now, std::max<Nanos>(delay, 0));
     TimerId id = next_id_++;
-    entries_.emplace(id, Entry{deadline, std::move(payload)});
-    deadlines_.insert(deadline);
-    place(id, deadline);
+    arm(id, saturating_add(now, std::max<Nanos>(delay, 0)), std::move(payload));
     return id;
   }
 
+  /// Re-arms an id that a collection just returned, at absolute
+  /// `deadline`, so a periodic owner keeps one id for the timer's life.
+  void rearm(TimerId id, Nanos deadline, Payload payload) {
+    arm(id, deadline, std::move(payload));
+  }
+
   /// Disarms; false if unknown or already collected. The slot keeps a
-  /// stale id that collections drop lazily (same discipline as
-  /// TimerWheel), so cancel is O(log n).
+  /// stale id that collections drop lazily, so cancel is O(log n).
   bool cancel(TimerId id) {
     auto it = entries_.find(id);
     if (it == entries_.end()) return false;
@@ -89,6 +95,11 @@ class HierWheel {
     TimerId id;
     Nanos deadline;
     Payload payload;
+
+    /// Firing order: (deadline, id).
+    friend bool operator<(const Due& a, const Due& b) {
+      return a.deadline != b.deadline ? a.deadline < b.deadline : a.id < b.id;
+    }
   };
 
   /// Moves every entry with deadline <= now into `out`, sorted by
@@ -99,26 +110,22 @@ class HierWheel {
       start(now);
       return 0;
     }
-    std::size_t before = out.size();
     // Advance every cursor first, then visit coarse levels before fine
     // ones: a cascade from level k places against fully-advanced finer
     // cursors, so it always lands in a bucket the finer level has not
     // passed — and that finer bucket is visited later in this same call,
     // refining it further if its slot has already arrived.
-    std::vector<std::uint64_t> old_cursor(levels_.size());
     for (std::size_t k = 0; k < levels_.size(); ++k) {
-      old_cursor[k] = levels_[k].cursor;
-      std::uint64_t now_tick = tick_of(k, now);
-      if (now_tick > levels_[k].cursor) levels_[k].cursor = now_tick;
+      levels_[k].from = levels_[k].cursor;
+      levels_[k].cursor = std::max(levels_[k].cursor, tick_of(k, now));
     }
+    // An empty wheel (the reactor's usual case) only moves its cursors.
+    if (entries_.empty()) return 0;
+    std::size_t before = out.size();
     for (std::size_t k = levels_.size(); k-- > 0;) {
-      visit_level(k, old_cursor[k], now, out);
+      visit_level(k, now, out);
     }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end(),
-              [](const Due& a, const Due& b) {
-                return a.deadline != b.deadline ? a.deadline < b.deadline
-                                                : a.id < b.id;
-              });
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end());
     return out.size() - before;
   }
 
@@ -142,14 +149,8 @@ class HierWheel {
     Nanos tick = 0;                              ///< slot width at this level
     std::vector<std::vector<TimerId>> buckets;
     std::uint64_t cursor = 0;  ///< first tick index not yet fully collected
+    std::uint64_t from = 0;    ///< cursor before the running collection
   };
-
-  static Nanos saturating_add(Nanos a, Nanos b) {
-    if (b > 0 && a > std::numeric_limits<Nanos>::max() - b) {
-      return std::numeric_limits<Nanos>::max();
-    }
-    return a + b;
-  }
 
   std::size_t slot_count() const { return levels_[0].buckets.size(); }
 
@@ -166,19 +167,24 @@ class HierWheel {
     }
   }
 
+  void arm(TimerId id, Nanos deadline, Payload payload) {
+    // A caller's stale `now` must never land an entry in a tick the
+    // cursor has already passed (no visit would ever match it); clamp
+    // it forward to the start of the cursor's tick.
+    deadline = std::max(deadline, static_cast<Nanos>(levels_[0].cursor) * tick_);
+    entries_.emplace(id, Entry{deadline, std::move(payload)});
+    deadlines_.insert(deadline);
+    place(id, deadline);
+  }
+
   /// Hangs `id` in the finest level whose horizon (measured from that
-  /// level's cursor) covers the deadline; past-cursor deadlines clamp
-  /// into level 0's current tick so they fire at the next collection.
+  /// level's cursor) covers the deadline. Deadlines are never behind a
+  /// cursor: arm() clamps them, and cascades only move entries whose
+  /// deadline is still ahead of the collection's `now`.
   void place(TimerId id, Nanos deadline) {
     for (std::size_t k = 0; k < levels_.size(); ++k) {
       Level& level = levels_[k];
       std::uint64_t tick = tick_of(k, deadline);
-      if (tick < level.cursor) {
-        levels_[0]
-            .buckets[levels_[0].cursor % slot_count()]
-            .push_back(id);
-        return;
-      }
       if (tick - level.cursor < slot_count() || k + 1 == levels_.size()) {
         level.buckets[tick % slot_count()].push_back(id);
         return;
@@ -221,8 +227,8 @@ class HierWheel {
     bucket.resize(keep);
   }
 
-  void visit_level(std::size_t k, std::uint64_t from, Nanos now,
-                   std::vector<Due>& out) {
+  void visit_level(std::size_t k, Nanos now, std::vector<Due>& out) {
+    const std::uint64_t from = levels_[k].from;
     std::uint64_t now_tick = tick_of(k, now);
     if (now_tick < from) return;
     const std::size_t n = slot_count();

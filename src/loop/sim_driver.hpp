@@ -13,6 +13,7 @@
 // so a (scenario, seed) pair replays the identical schedule.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "loop/event_loop.hpp"
@@ -59,12 +60,7 @@ class SimDriver final : public Driver {
   /// Advances virtual time by `delta`, executing every timer deadline
   /// (and the work it triggers) in order along the way.
   std::size_t advance(Nanos delta) {
-    Nanos target = clock_.now();
-    if (delta > 0) {
-      target = delta > std::numeric_limits<Nanos>::max() - target
-                   ? std::numeric_limits<Nanos>::max()
-                   : target + delta;
-    }
+    const Nanos target = saturating_add(clock_.now(), std::max<Nanos>(delta, 0));
     std::size_t total = run_ready();
     for (;;) {
       Nanos next = next_deadline();

@@ -290,95 +290,6 @@ std::string build_fault(const Fault& fault) {
   return out;
 }
 
-// ---- DOM forms (WSDL tooling, registry, tests) ---------------------------------
-
-std::unique_ptr<xml::Node> value_to_xml(const Value& value, std::string element_name) {
-  auto el = xml::Node::element(std::move(element_name));
-  switch (value.kind()) {
-    case ValueKind::kVoid:
-      el->set_attr("xsi:nil", "true");
-      break;
-    case ValueKind::kBool:
-      el->set_attr("xsi:type", "xsd:boolean");
-      el->add_text(value.as_bool().value() ? "true" : "false");
-      break;
-    case ValueKind::kInt:
-      el->set_attr("xsi:type", "xsd:long");
-      el->add_text(std::to_string(value.as_int().value()));
-      break;
-    case ValueKind::kDouble:
-      el->set_attr("xsi:type", "xsd:double");
-      el->add_text(str::format_double(value.as_double().value()));
-      break;
-    case ValueKind::kString:
-      el->set_attr("xsi:type", "xsd:string");
-      el->add_text(value.as_string().value());
-      break;
-    case ValueKind::kDoubleArray: {
-      auto items = value.doubles_view();
-      el->set_attr("xsi:type", "SOAP-ENC:Array");
-      el->set_attr("SOAP-ENC:arrayType",
-                   "xsd:double[" + std::to_string(items.size()) + "]");
-      for (double v : items) {
-        el->add_element_with_text("item", str::format_double(v));
-      }
-      break;
-    }
-    case ValueKind::kBytes:
-      el->set_attr("xsi:type", "xsd:base64Binary");
-      el->add_text(enc::base64_encode(value.bytes_view()));
-      break;
-  }
-  return el;
-}
-
-Result<Value> xml_to_value(const xml::Node& element) {
-  std::string name(element.local_name());
-  std::string type = element.attr_or("xsi:type", "");
-  // Normalize "prefix:local" -> local, since prefixes vary by producer.
-  if (auto colon = type.find(':'); colon != std::string::npos) {
-    type = type.substr(colon + 1);
-  }
-
-  if (element.attr("xsi:nil")) return Value::of_void(name);
-
-  if (type == "Array" || element.attr("SOAP-ENC:arrayType")) {
-    std::vector<double> values;
-    for (const xml::Node* item : element.children_named("item")) {
-      auto v = str::parse_double(str::trim(item->inner_text()));
-      if (!v.ok()) return v.error().context("soap array item in <" + name + ">");
-      values.push_back(*v);
-    }
-    return Value::of_doubles(std::move(values), name);
-  }
-  if (type == "base64Binary") {
-    auto bytes = enc::base64_decode(str::trim(element.inner_text()));
-    if (!bytes.ok()) return bytes.error().context("soap base64 in <" + name + ">");
-    return Value::of_bytes(std::move(*bytes), name);
-  }
-  if (type == "boolean") {
-    auto text = str::trim(element.inner_text());
-    if (text == "true" || text == "1") return Value::of_bool(true, name);
-    if (text == "false" || text == "0") return Value::of_bool(false, name);
-    return err::parse("soap: bad boolean '" + std::string(text) + "'");
-  }
-  if (type == "long" || type == "int" || type == "integer" || type == "short") {
-    auto v = str::parse_i64(str::trim(element.inner_text()));
-    if (!v.ok()) return v.error().context("soap integer in <" + name + ">");
-    return Value::of_int(*v, name);
-  }
-  if (type == "double" || type == "float" || type == "decimal") {
-    auto v = str::parse_double(str::trim(element.inner_text()));
-    if (!v.ok()) return v.error().context("soap double in <" + name + ">");
-    return Value::of_double(*v, name);
-  }
-  if (type == "string" || type.empty()) {
-    // Untyped simple content defaults to string (common SOAP practice).
-    return Value::of_string(element.inner_text(), name);
-  }
-  return err::unsupported("soap: unsupported xsi:type '" + type + "'");
-}
-
 // ---- parsing -------------------------------------------------------------------
 
 namespace {
@@ -395,8 +306,8 @@ struct ParseScratch {
 };
 
 /// Reads one parameter/return element (parser positioned on its start
-/// tag) into a Value, consuming through the matching end tag. Mirrors
-/// xml_to_value's type dispatch exactly.
+/// tag) into a Value, consuming through the matching end tag. The type
+/// comes from xsi:type, falling back to shape inference when untyped.
 Result<Value> read_param(PullParser& p, const HrefResolver* resolver,
                          ParseScratch& scratch) {
   std::string name(p.local_name());
@@ -552,7 +463,7 @@ Status open_envelope(PullParser& p) {
 }
 
 /// Consumes epilog misc after the envelope's end tag; any real content is
-/// a parse error (matches the DOM parser's trailing-content check).
+/// a parse error.
 Status close_document(PullParser& p) {
   auto tail = p.next();
   if (!tail.ok()) return tail.error();

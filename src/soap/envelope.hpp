@@ -7,8 +7,7 @@
 // Fast path: building streams through EnvelopeWriter (single pass, one
 // size-estimated buffer, no DOM); parsing streams through xml::PullParser
 // (no DOM allocation, numeric payloads go straight from input slices to
-// doubles via from_chars). value_to_xml/xml_to_value keep the DOM forms
-// for WSDL tooling and tests.
+// doubles via from_chars).
 #pragma once
 
 #include <functional>
@@ -20,7 +19,6 @@
 
 #include "encoding/value.hpp"
 #include "util/error.hpp"
-#include "xml/dom.hpp"
 
 namespace h2::soap {
 
@@ -133,10 +131,6 @@ class EnvelopeWriter {
   std::string& out_;
 };
 
-/// Converts one Value into its SOAP XML element (exposed for WSDL tooling
-/// and tests). `element_name` is used as the tag.
-std::unique_ptr<xml::Node> value_to_xml(const Value& value, std::string element_name);
-
 // ---- parsing -------------------------------------------------------------------
 
 /// Parses a request envelope into an RpcCall.
@@ -159,10 +153,6 @@ Result<RpcCall> parse_request(std::string_view envelope_xml,
                               const HrefResolver* resolver);
 Result<RpcReply> parse_reply(std::string_view envelope_xml,
                              const HrefResolver* resolver);
-
-/// Converts a SOAP parameter element back into a Value (type chosen from
-/// xsi:type, falling back to shape inference for untyped elements).
-Result<Value> xml_to_value(const xml::Node& element);
 
 // ---- batching -----------------------------------------------------------------
 // A batch envelope is ordinary SOAP 1.1 with REPEATED operation elements

@@ -34,6 +34,14 @@ class WallClock final : public Clock {
   }
 };
 
+/// a + b, saturating at the representable maximum instead of wrapping
+/// into the past (b <= 0 is added as is).
+constexpr Nanos saturating_add(Nanos a, Nanos b) {
+  return b > 0 && a > std::numeric_limits<Nanos>::max() - b
+             ? std::numeric_limits<Nanos>::max()
+             : a + b;
+}
+
 /// Manually advanced time, owned by the simulation driver. Never moves
 /// backwards: advance() with a negative delta is ignored. Additions that
 /// would overflow saturate at the representable maximum instead of
@@ -42,12 +50,7 @@ class VirtualClock final : public Clock {
  public:
   Nanos now() const override { return now_; }
   void advance(Nanos delta) {
-    if (delta <= 0) return;
-    if (delta > std::numeric_limits<Nanos>::max() - now_) {
-      now_ = std::numeric_limits<Nanos>::max();
-    } else {
-      now_ += delta;
-    }
+    if (delta > 0) now_ = saturating_add(now_, delta);
   }
   /// Jumps directly to `t` if it is in the future.
   void advance_to(Nanos t) {

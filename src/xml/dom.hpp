@@ -1,6 +1,8 @@
 // A small XML DOM: enough of XML 1.0 + Namespaces for WSDL documents,
 // SOAP envelopes, and the XML-queryable registry. Nodes are owned by their
-// parent; the tree is built either programmatically or by xml::parse().
+// parent; the tree is built either programmatically or by xml::parse(),
+// which assembles it from xml::PullParser events (comment nodes only
+// come from the former — parsing drops comments).
 #pragma once
 
 #include <memory>

@@ -1,258 +1,85 @@
 #include "xml/parser.hpp"
 
-#include <cctype>
+#include <vector>
 
-#include "xml/escape.hpp"
+#include "xml/pull_parser.hpp"
 
 namespace h2::xml {
 
 namespace {
 
-class Parser {
- public:
-  Parser(std::string_view input, const ParseOptions& options)
-      : input_(input), options_(options) {}
+void read_pseudo_attr(std::string_view decl, std::string_view key,
+                      std::string& out) {
+  std::size_t k = decl.find(key);
+  if (k == std::string_view::npos) return;
+  std::size_t q1 = decl.find_first_of("\"'", k);
+  if (q1 == std::string_view::npos) return;
+  std::size_t q2 = decl.find(decl[q1], q1 + 1);
+  if (q2 == std::string_view::npos) return;
+  out = std::string(decl.substr(q1 + 1, q2 - q1 - 1));
+}
 
-  Result<Document> parse_document() {
-    Document doc;
-    skip_prolog(doc);
-    if (eof()) return fail("document has no root element");
-    if (peek() != '<') return fail("expected '<' at document start");
-    auto root = parse_node();
-    if (!root.ok()) return root.error();
-    if (*root == nullptr || !(*root)->is_element()) {
-      return fail("document root must be an element");
-    }
-    doc.root = std::move(*root);
-    skip_misc();
-    if (!eof()) return fail("trailing content after root element");
-    return doc;
+/// Copies version/encoding from a leading XML declaration, read loosely
+/// up to "?>". The pull parser skips the declaration like any other PI.
+void read_declaration(std::string_view input, Document& doc) {
+  std::size_t start = input.find_first_not_of(" \t\n\r\f\v");
+  if (start == std::string_view::npos || input.compare(start, 5, "<?xml") != 0) {
+    return;
   }
-
- private:
-  // ---- low-level cursor ------------------------------------------------------
-
-  bool eof() const { return pos_ >= input_.size(); }
-  char peek() const { return input_[pos_]; }
-  char peek_at(std::size_t offset) const {
-    return pos_ + offset < input_.size() ? input_[pos_ + offset] : '\0';
-  }
-  void advance() {
-    if (input_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
-  }
-  bool consume(std::string_view token) {
-    if (input_.substr(pos_).substr(0, token.size()) != token) return false;
-    for (std::size_t i = 0; i < token.size(); ++i) advance();
-    return true;
-  }
-  void skip_ws() {
-    while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) advance();
-  }
-
-  Error fail(const std::string& message) const {
-    return err::parse("xml: " + message + " (line " + std::to_string(line_) +
-                      ", col " + std::to_string(col_) + ")");
-  }
-
-  // ---- prolog / misc ----------------------------------------------------------
-
-  void skip_prolog(Document& doc) {
-    skip_ws();
-    if (consume("<?xml")) {
-      // Capture version/encoding loosely; the declaration ends at "?>".
-      std::size_t end = input_.find("?>", pos_);
-      std::string_view decl =
-          end == std::string_view::npos ? input_.substr(pos_) : input_.substr(pos_, end - pos_);
-      extract_pseudo_attr(decl, "version", doc.version);
-      extract_pseudo_attr(decl, "encoding", doc.encoding);
-      while (!eof() && !consume("?>")) advance();
-    }
-    skip_misc();
-  }
-
-  static void extract_pseudo_attr(std::string_view decl, std::string_view key,
-                                  std::string& out) {
-    std::size_t k = decl.find(key);
-    if (k == std::string_view::npos) return;
-    std::size_t q1 = decl.find_first_of("\"'", k);
-    if (q1 == std::string_view::npos) return;
-    char quote = decl[q1];
-    std::size_t q2 = decl.find(quote, q1 + 1);
-    if (q2 == std::string_view::npos) return;
-    out = std::string(decl.substr(q1 + 1, q2 - q1 - 1));
-  }
-
-  /// Skips whitespace, comments, PIs and DOCTYPE between top-level items.
-  void skip_misc() {
-    while (true) {
-      skip_ws();
-      if (consume("<!--")) {
-        skip_until("-->");
-      } else if (consume("<?")) {
-        skip_until("?>");
-      } else if (consume("<!DOCTYPE")) {
-        // Skip to the matching '>' (internal subsets with brackets handled).
-        int depth = 1;
-        while (!eof() && depth > 0) {
-          char c = peek();
-          if (c == '<') ++depth;
-          if (c == '>') --depth;
-          advance();
-        }
-      } else {
-        return;
-      }
-    }
-  }
-
-  void skip_until(std::string_view token) {
-    std::size_t found = input_.find(token, pos_);
-    std::size_t stop = found == std::string_view::npos ? input_.size() : found + token.size();
-    while (pos_ < stop) advance();
-  }
-
-  // ---- node parsing -------------------------------------------------------------
-
-  /// Parses one node starting at '<'. Comments/PIs may yield nullptr when
-  /// dropped; callers skip null results.
-  Result<std::unique_ptr<Node>> parse_node() {
-    if (consume("<!--")) {
-      std::size_t end = input_.find("-->", pos_);
-      if (end == std::string_view::npos) return fail("unterminated comment");
-      std::string body(input_.substr(pos_, end - pos_));
-      skip_until("-->");
-      if (options_.keep_comments) return Node::comment(std::move(body));
-      return std::unique_ptr<Node>(nullptr);
-    }
-    if (consume("<![CDATA[")) {
-      std::size_t end = input_.find("]]>", pos_);
-      if (end == std::string_view::npos) return fail("unterminated CDATA section");
-      std::string body(input_.substr(pos_, end - pos_));
-      skip_until("]]>");
-      return Node::cdata(std::move(body));
-    }
-    if (consume("<?")) {
-      skip_until("?>");
-      return std::unique_ptr<Node>(nullptr);
-    }
-    if (!consume("<")) return fail("expected '<'");
-    return parse_element_body();
-  }
-
-  Result<std::string> parse_name() {
-    std::size_t start = pos_;
-    while (!eof()) {
-      char c = peek();
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-          c == '.' || c == ':') {
-        advance();
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return fail("expected a name");
-    return std::string(input_.substr(start, pos_ - start));
-  }
-
-  Result<std::unique_ptr<Node>> parse_element_body() {
-    auto name = parse_name();
-    if (!name.ok()) return name.error();
-    auto element = Node::element(std::move(*name));
-
-    // Attributes.
-    while (true) {
-      skip_ws();
-      if (eof()) return fail("unterminated start tag for <" + element->name() + ">");
-      char c = peek();
-      if (c == '>' || c == '/') break;
-      auto attr_name = parse_name();
-      if (!attr_name.ok()) return attr_name.error();
-      skip_ws();
-      if (!consume("=")) return fail("expected '=' after attribute " + *attr_name);
-      skip_ws();
-      if (eof() || (peek() != '"' && peek() != '\'')) {
-        return fail("expected quoted value for attribute " + *attr_name);
-      }
-      char quote = peek();
-      advance();
-      std::size_t vstart = pos_;
-      while (!eof() && peek() != quote) advance();
-      if (eof()) return fail("unterminated attribute value for " + *attr_name);
-      std::string_view raw = input_.substr(vstart, pos_ - vstart);
-      advance();  // closing quote
-      auto decoded = decode_entities(raw);
-      if (!decoded.ok()) return decoded.error().context("in attribute " + *attr_name);
-      if (element->attr(*attr_name)) {
-        return fail("duplicate attribute " + *attr_name);
-      }
-      element->set_attr(std::move(*attr_name), std::move(*decoded));
-    }
-
-    if (consume("/>")) return std::unique_ptr<Node>(std::move(element));
-    if (!consume(">")) return fail("malformed start tag for <" + element->name() + ">");
-
-    // Content until the matching end tag.
-    while (true) {
-      if (eof()) return fail("missing end tag </" + element->name() + ">");
-      if (peek() == '<') {
-        if (peek_at(1) == '/') {
-          consume("</");
-          auto end_name = parse_name();
-          if (!end_name.ok()) return end_name.error();
-          skip_ws();
-          if (!consume(">")) return fail("malformed end tag </" + *end_name + ">");
-          if (*end_name != element->name()) {
-            return fail("mismatched end tag: expected </" + element->name() +
-                        ">, found </" + *end_name + ">");
-          }
-          return std::unique_ptr<Node>(std::move(element));
-        }
-        auto child = parse_node();
-        if (!child.ok()) return child.error();
-        if (*child) element->add_child(std::move(*child));
-      } else {
-        // Text run.
-        std::size_t start = pos_;
-        while (!eof() && peek() != '<') advance();
-        std::string_view raw = input_.substr(start, pos_ - start);
-        auto decoded = decode_entities(raw);
-        if (!decoded.ok()) return decoded.error().context("in element <" + element->name() + ">");
-        bool all_ws = true;
-        for (char c : *decoded) {
-          if (!std::isspace(static_cast<unsigned char>(c))) {
-            all_ws = false;
-            break;
-          }
-        }
-        if (!(all_ws && options_.ignore_whitespace_text)) {
-          element->add_text(std::move(*decoded));
-        }
-      }
-    }
-  }
-
-  std::string_view input_;
-  ParseOptions options_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t col_ = 1;
-};
+  std::string_view decl = input.substr(start + 5);
+  decl = decl.substr(0, decl.find("?>"));
+  read_pseudo_attr(decl, "version", doc.version);
+  read_pseudo_attr(decl, "encoding", doc.encoding);
+}
 
 }  // namespace
 
-Result<Document> parse(std::string_view input, const ParseOptions& options) {
-  return Parser(input, options).parse_document();
+Result<Document> parse(std::string_view input) {
+  Document doc;
+  PullParser pull(input);
+  std::vector<Node*> open;
+  std::string scratch;
+  while (true) {
+    auto token = pull.next();
+    if (!token.ok()) return token.error();
+    switch (*token) {
+      case Token::kStartElement: {
+        auto element = Node::element(std::string(pull.name()));
+        for (const PullAttribute& attr : pull.attributes()) {
+          auto value = pull.attr(attr.name, scratch);
+          if (!value.ok()) return value.error();
+          element->set_attr(std::string(attr.name), std::string(**value));
+        }
+        Node* raw = element.get();
+        if (open.empty()) {
+          doc.root = std::move(element);
+        } else {
+          open.back()->add_child(std::move(element));
+        }
+        open.push_back(raw);
+        break;
+      }
+      case Token::kEndElement:
+        open.pop_back();
+        break;
+      case Token::kText: {
+        auto text = pull.text(scratch);
+        if (!text.ok()) return text.error();
+        open.back()->add_text(std::string(*text));
+        break;
+      }
+      case Token::kCData:
+        open.back()->add_child(Node::cdata(std::string(pull.raw_text())));
+        break;
+      case Token::kEof:
+        read_declaration(input, doc);
+        return doc;
+    }
+  }
 }
 
-Result<std::unique_ptr<Node>> parse_element(std::string_view input,
-                                            const ParseOptions& options) {
-  auto doc = parse(input, options);
+Result<std::unique_ptr<Node>> parse_element(std::string_view input) {
+  auto doc = parse(input);
   if (!doc.ok()) return doc.error();
   return std::move(doc->root);
 }

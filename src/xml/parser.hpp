@@ -1,7 +1,8 @@
-// Non-validating XML parser producing the h2::xml DOM. Handles elements,
-// attributes, namespaces (as plain attributes; resolution lives in the DOM),
-// text with entity references, CDATA, comments, processing instructions and
-// an optional XML declaration. DOCTYPE is skipped. Errors carry line/column.
+// XML text to the h2::xml DOM. The tree is built from xml::PullParser
+// events, so the DOM, the SOAP fast path and every other consumer share
+// one tokenizer and one set of verdicts on malformed input. Whitespace-
+// only text, comments, processing instructions and DOCTYPE are dropped;
+// CDATA stays a node of its own. Errors carry line/column.
 #pragma once
 
 #include <string_view>
@@ -11,19 +12,10 @@
 
 namespace h2::xml {
 
-struct ParseOptions {
-  /// Drop whitespace-only text nodes between elements (default on: WSDL
-  /// and SOAP consumers never care about indentation text).
-  bool ignore_whitespace_text = true;
-  /// Keep comment nodes in the tree.
-  bool keep_comments = false;
-};
-
 /// Parses a complete document (one root element).
-Result<Document> parse(std::string_view input, const ParseOptions& options = {});
+Result<Document> parse(std::string_view input);
 
 /// Parses a document and returns just the root element.
-Result<std::unique_ptr<Node>> parse_element(std::string_view input,
-                                            const ParseOptions& options = {});
+Result<std::unique_ptr<Node>> parse_element(std::string_view input);
 
 }  // namespace h2::xml

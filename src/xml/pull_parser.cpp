@@ -8,7 +8,7 @@ namespace h2::xml {
 
 namespace {
 
-/// Name characters accepted by the DOM parser (alnum, '_', '-', '.', ':').
+/// Name characters: alnum, '_', '-', '.', ':'.
 constexpr std::array<bool, 256> make_name_chars() {
   std::array<bool, 256> table{};
   for (unsigned c = '0'; c <= '9'; ++c) table[c] = true;
@@ -98,7 +98,7 @@ Status PullParser::skip_misc() {
   }
   if (input_.compare(pos_, 9, "<!DOCTYPE") == 0) {
     pos_ += 9;
-    int depth = 1;  // matches the DOM parser's bracket-tolerant skip
+    int depth = 1;  // bracket-tolerant: skips an internal subset too
     while (!eof() && depth > 0) {
       char c = input_[pos_++];
       if (c == '<') ++depth;
@@ -287,8 +287,7 @@ Result<Token> PullParser::read_text_run() {
     }
   }
   if (all_ws && options_.ignore_whitespace_text) {
-    // Dropped, like the DOM parser's ignore_whitespace_text. Recurse via
-    // next() to deliver whatever follows.
+    // Dropped. Recurse via next() to deliver whatever follows.
     return next();
   }
   text_ = raw;

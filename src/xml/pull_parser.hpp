@@ -2,15 +2,16 @@
 // string_view slices of the input with no DOM allocation. Attributes,
 // entity references and namespace URIs are decoded lazily — only when a
 // consumer asks, and only when the raw slice actually contains an entity.
-// This is the SOAP fast path; WSDL tooling and the XML registry keep the
-// DOM parser (xml/parser.hpp), and the two are held in agreement by the
-// parity tests in tests/xml/test_pull_parser.cpp.
+// It is the one XML tokenizer in the tree: SOAP reads its events
+// directly, and xml::parse() (xml/parser.hpp) builds the DOM that WSDL,
+// WSIL and the XML registry use from the same events, so every consumer
+// gets the same verdict on malformed input.
 //
-// Coverage matches the DOM parser: elements, attributes (duplicates are
-// errors), the five predefined entities plus character references, CDATA,
-// comments, processing instructions, an XML declaration and a skipped
-// DOCTYPE. Self-closing elements emit kStartElement followed by a
-// synthesized kEndElement so consumer depth tracking stays uniform.
+// Coverage: elements, attributes (duplicates are errors), the five
+// predefined entities plus character references, CDATA, comments,
+// processing instructions, an XML declaration and a skipped DOCTYPE.
+// Self-closing elements emit kStartElement followed by a synthesized
+// kEndElement so consumer depth tracking stays uniform.
 #pragma once
 
 #include <optional>
@@ -41,7 +42,7 @@ struct PullAttribute {
 class PullParser {
  public:
   struct Options {
-    /// Drop whitespace-only text tokens (matches the DOM parser default).
+    /// Drop whitespace-only text tokens (xml::parse() always does).
     bool ignore_whitespace_text = true;
   };
 
@@ -103,7 +104,7 @@ class PullParser {
   /// Positioned on an element's kStartElement: consumes through the
   /// matching kEndElement and returns the concatenation of the element's
   /// *direct* text/CDATA children (nested elements are skipped), matching
-  /// Node::inner_text() on a DOM built with the same whitespace option.
+  /// Node::inner_text() on the DOM xml::parse() builds.
   /// Single-slice content is returned zero-copy; otherwise `scratch` holds
   /// the concatenation.
   Result<std::string_view> inner_text(std::string& scratch);

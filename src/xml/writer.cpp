@@ -6,13 +6,6 @@ namespace h2::xml {
 
 namespace {
 
-bool has_element_children(const Node& node) {
-  for (const auto& child : node.children()) {
-    if (child->is_element() || child->type() == NodeType::kComment) return true;
-  }
-  return false;
-}
-
 bool has_text_children(const Node& node) {
   for (const auto& child : node.children()) {
     if (child->type() == NodeType::kText || child->type() == NodeType::kCData) {

@@ -100,6 +100,42 @@ TEST(HierWheel, ManyMixedHorizonsAllFireExactlyOnce) {
   EXPECT_EQ(wheel.size(), 0u);
 }
 
+TEST(HierWheel, StaleNowClampsToTheCursorTick) {
+  // An add whose `now` lags the last collection must not strand its
+  // entry in a tick the cursor already passed: it fires at the next
+  // collection, with its deadline clamped to the cursor tick's start.
+  Wheel wheel;
+  (void)collect(wheel, 10 * kMillisecond);
+  (void)wheel.add(10 * kMillisecond, 100 * kMillisecond, 1);
+  (void)collect(wheel, 20 * kMillisecond);
+  (void)wheel.add(5 * kMillisecond, 0, 2);
+  EXPECT_EQ(wheel.next_deadline(), 20 * kMillisecond);
+  std::vector<Wheel::Due> fired;
+  for (Nanos now = 21 * kMillisecond; now <= 200 * kMillisecond; now += kMillisecond) {
+    for (auto& d : collect(wheel, now)) fired.push_back(d);
+  }
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[0].payload, 2u);
+  EXPECT_EQ(fired[0].deadline, 20 * kMillisecond);
+  EXPECT_EQ(fired[1].payload, 1u);
+  EXPECT_EQ(fired[1].deadline, 110 * kMillisecond);
+}
+
+TEST(HierWheel, RearmKeepsTheId) {
+  Wheel wheel;
+  TimerId id = wheel.add(0, 2 * kMillisecond, 7);
+  auto due = collect(wheel, 2 * kMillisecond);
+  ASSERT_EQ(due.size(), 1u);
+  wheel.rearm(id, 4 * kMillisecond, due[0].payload);
+  EXPECT_EQ(wheel.next_deadline(), 4 * kMillisecond);
+  due = collect(wheel, 4 * kMillisecond);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].id, id);
+  wheel.rearm(id, 6 * kMillisecond, due[0].payload);
+  EXPECT_TRUE(wheel.cancel(id));
+  EXPECT_TRUE(collect(wheel, kSecond).empty());
+}
+
 TEST(HierWheel, CancelPreventsFiring) {
   Wheel wheel;
   TimerId a = wheel.add(0, kMillisecond, 1);

@@ -5,7 +5,8 @@
 // checks two properties on the result:
 //   - the pull parser never crashes or reads out of bounds — every input
 //     terminates in a bounded number of tokens or a clean error
-//   - accept/reject parity with the DOM parser holds for every mutant
+//   - the DOM that xml::parse_element builds from the same tokens
+//     accepts and rejects exactly the mutants the raw token stream does
 #include <gtest/gtest.h>
 
 #include <string>
@@ -114,8 +115,9 @@ std::string mutate(const std::string& base, Rng& rng) {
   return out;
 }
 
-/// Both parsers must agree: accept together or reject together. On accept
-/// the pull parser must also have terminated cleanly (checked inside).
+/// The DOM builder and the raw token stream must agree: accept together or
+/// reject together. On accept the pull parser must also have terminated
+/// cleanly (checked inside).
 void expect_verdict_parity(const std::string& doc) {
   bool dom_ok = parse_element(doc).ok();
   bool pull_ok = drain_pull(doc, 2 * doc.size() + 64).ok();

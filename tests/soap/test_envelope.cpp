@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
-#include "xml/parser.hpp"
-#include "xml/writer.hpp"
 
 namespace h2::soap {
 namespace {
@@ -154,26 +152,48 @@ TEST(SoapParse, UntypedElementDefaultsToString) {
   EXPECT_EQ(*call->params[0].as_string(), "plain");
 }
 
+// One-parameter envelopes, so each case below runs through the streaming
+// decoder both as a request argument and as a reply's return value.
+std::string one_param_request(std::string_view param) {
+  return R"(<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/")"
+         R"( xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><s:Body>)"
+         R"(<m:op xmlns:m="urn:x">)" +
+         std::string(param) + "</m:op></s:Body></s:Envelope>";
+}
+
+std::string one_param_reply(std::string_view param) {
+  return R"(<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/")"
+         R"( xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"><s:Body>)"
+         R"(<m:opResponse xmlns:m="urn:x">)" +
+         std::string(param) + "</m:opResponse></s:Body></s:Envelope>";
+}
+
 TEST(SoapValueXml, NilForVoid) {
-  auto node = value_to_xml(Value::of_void(), "nothing");
-  EXPECT_EQ(node->attr_or("xsi:nil", ""), "true");
-  auto back = xml_to_value(*node);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->kind(), ValueKind::kVoid);
+  constexpr std::string_view kNil = R"(<nothing xsi:nil="true"/>)";
+  auto call = parse_request(one_param_request(kNil));
+  ASSERT_TRUE(call.ok()) << call.error().describe();
+  ASSERT_EQ(call->params.size(), 1u);
+  EXPECT_EQ(call->params[0].kind(), ValueKind::kVoid);
+  EXPECT_EQ(call->params[0].name(), "nothing");
+  auto reply = parse_reply(one_param_reply(kNil));
+  ASSERT_TRUE(reply.ok()) << reply.error().describe();
+  EXPECT_EQ(reply->value().kind(), ValueKind::kVoid);
 }
 
 TEST(SoapValueXml, BadBooleanRejected) {
-  auto parsed = xml::parse_element(R"(<b xsi:type="xsd:boolean">maybe</b>)");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(xml_to_value(**parsed).ok());
+  constexpr std::string_view kMaybe = R"(<b xsi:type="xsd:boolean">maybe</b>)";
+  EXPECT_FALSE(parse_request(one_param_request(kMaybe)).ok());
+  EXPECT_FALSE(parse_reply(one_param_reply(kMaybe)).ok());
 }
 
 TEST(SoapValueXml, UnsupportedTypeRejected) {
-  auto parsed = xml::parse_element(R"(<b xsi:type="xsd:duration">P1D</b>)");
-  ASSERT_TRUE(parsed.ok());
-  auto v = xml_to_value(**parsed);
-  ASSERT_FALSE(v.ok());
-  EXPECT_EQ(v.error().code(), ErrorCode::kUnsupported);
+  constexpr std::string_view kDuration = R"(<b xsi:type="xsd:duration">P1D</b>)";
+  auto call = parse_request(one_param_request(kDuration));
+  ASSERT_FALSE(call.ok());
+  EXPECT_EQ(call.error().code(), ErrorCode::kUnsupported);
+  auto reply = parse_reply(one_param_reply(kDuration));
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code(), ErrorCode::kUnsupported);
 }
 
 }  // namespace

@@ -75,16 +75,6 @@ TEST(XmlParser, CommentsDroppedByDefault) {
   EXPECT_EQ((*root)->children().size(), 1u);
 }
 
-TEST(XmlParser, CommentsKeptOnRequest) {
-  ParseOptions options;
-  options.keep_comments = true;
-  auto root = parse_element("<a><!--note--></a>", options);
-  ASSERT_TRUE(root.ok());
-  ASSERT_EQ((*root)->children().size(), 1u);
-  EXPECT_EQ((*root)->children()[0]->type(), NodeType::kComment);
-  EXPECT_EQ((*root)->children()[0]->text(), "note");
-}
-
 TEST(XmlParser, DeclarationParsed) {
   auto doc = parse("<?xml version=\"1.1\" encoding=\"us-ascii\"?><r/>");
   ASSERT_TRUE(doc.ok());

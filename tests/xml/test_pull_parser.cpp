@@ -1,6 +1,7 @@
-// Parity tests: the streaming pull parser and the DOM parser must agree
-// on every document either accepts — same tree, same decoded content,
-// same rejections. The SOAP fast path leans on this equivalence.
+// Pull parser tests, plus parity tests: xml::parse() builds its DOM from
+// PullParser events, and a tree rebuilt here from the raw token stream
+// through the lazy decode path SOAP uses must match it — same tree, same
+// decoded content, same rejections. The SOAP fast path leans on this.
 #include "xml/pull_parser.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@ namespace {
 
 // Rebuilds a DOM from the pull token stream. Text is decoded through the
 // same lazy path SOAP uses, so a mismatch here means the fast path would
-// hand SOAP different bytes than the DOM parser.
+// hand SOAP different bytes than xml::parse() hands the DOM consumers.
 Result<std::unique_ptr<Node>> dom_from_pull(std::string_view input) {
   PullParser p(input);
   std::unique_ptr<Node> root;
@@ -60,7 +61,8 @@ Result<std::unique_ptr<Node>> dom_from_pull(std::string_view input) {
   return root;
 }
 
-// Both parsers accept `doc` and produce byte-identical serializations.
+// xml::parse_element and the reference rebuild accept `doc` and produce
+// byte-identical serializations.
 void expect_parity(std::string_view doc) {
   auto dom = parse_element(doc);
   ASSERT_TRUE(dom.ok()) << dom.error().message();
@@ -69,7 +71,7 @@ void expect_parity(std::string_view doc) {
   EXPECT_EQ(write(**dom), write(**pulled)) << "document: " << doc;
 }
 
-// Both parsers reject `doc`.
+// xml::parse_element and the raw token stream both reject `doc`.
 void expect_both_reject(std::string_view doc) {
   EXPECT_FALSE(parse_element(doc).ok()) << "DOM accepted: " << doc;
   EXPECT_FALSE(dom_from_pull(doc).ok()) << "pull accepted: " << doc;
@@ -245,12 +247,13 @@ TEST(PullParserParity, MalformedDocumentsRejectedByBoth) {
   expect_both_reject("<a/>trailing");             // text after root
   expect_both_reject("<!-- only a comment -->");  // no root element
   expect_both_reject("<a><!-- unterminated </a>");
+  expect_both_reject("<a/><!-- unterminated");    // unterminated epilog comment
   expect_both_reject("<a><![CDATA[open</a>");
 }
 
 TEST(PullParserParity, UnreadAttributeEntitiesStillValidated) {
-  // The DOM parser decodes every attribute at parse time and rejects bad
-  // entities; the pull parser decodes lazily but must still validate.
+  // xml::parse() decodes every attribute and rejects bad entities; the
+  // pull parser decodes lazily but must still validate at next().
   PullParser p("<a bad=\"&nope;\"/>");
   EXPECT_FALSE(p.next().ok());
 }
