@@ -37,8 +37,7 @@ unsigned from_epoll(std::uint32_t events) {
 
 }  // namespace
 
-EpollDriver::EpollDriver(EventLoop& loop, ThreadPool* pool)
-    : loop_(loop), pool_(pool) {
+EpollDriver::EpollDriver(EventLoop& loop) : loop_(loop) {
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) {
     logger().warn("epoll_create1 failed (errno " + std::to_string(errno) +

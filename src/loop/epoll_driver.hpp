@@ -1,8 +1,6 @@
 // EpollDriver — runs one EventLoop on its own OS thread: epoll for fd
 // readiness, an eventfd for cross-thread wakeups (post/schedule/stop),
-// and the loop's timer-wheel deadline as the wait timeout. An optional
-// shared ThreadPool serves EventLoop::offload() so plugin work never
-// blocks the reactor.
+// and the loop's timer-wheel deadline as the wait timeout.
 //
 // Lifecycle: the constructor attaches to the loop and starts the
 // thread; stop() (or the destructor) signals it, joins, runs one final
@@ -18,17 +16,12 @@
 
 #include "loop/event_loop.hpp"
 
-namespace h2 {
-class ThreadPool;
-}
-
 namespace h2::loop {
 
 class EpollDriver final : public Driver {
  public:
-  /// Attaches to `loop` and starts the reactor thread. `pool` (may be
-  /// nullptr) is borrowed for offload() work and must outlive stop().
-  explicit EpollDriver(EventLoop& loop, ThreadPool* pool = nullptr);
+  /// Attaches to `loop` and starts the reactor thread.
+  explicit EpollDriver(EventLoop& loop);
   ~EpollDriver() override;
 
   EpollDriver(const EpollDriver&) = delete;
@@ -64,13 +57,11 @@ class EpollDriver final : public Driver {
   bool threaded() const override { return true; }
   Status fd_add(int fd, unsigned interest) override;
   void fd_remove(int fd) override;
-  ThreadPool* worker_pool() override { return pool_; }
 
  private:
   void run();
 
   EventLoop& loop_;
-  ThreadPool* pool_;
   WallClock wall_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <memory>
 #include <utility>
-
-#include "util/thread_pool.hpp"
 
 namespace h2::loop {
 
@@ -146,29 +145,6 @@ void EventLoop::run_sync(Task task) {
   });
   std::unique_lock lock(state->mu);
   state->cv.wait(lock, [&state] { return state->done; });
-}
-
-void EventLoop::offload(Task work, Task done) {
-  ThreadPool* pool = nullptr;
-  {
-    std::lock_guard lock(mu_);
-    if (driver_ != nullptr) pool = driver_->worker_pool();
-  }
-  if (pool != nullptr) {
-    auto shared_work = std::make_shared<Task>(std::move(work));
-    auto shared_done = std::make_shared<Task>(std::move(done));
-    if (pool->post([this, shared_work, shared_done] {
-          (*shared_work)();
-          post(std::move(*shared_done));
-        })) {
-      return;
-    }
-    (*shared_work)();  // pool shut down: degrade to inline
-    dispatch(std::move(*shared_done));
-    return;
-  }
-  work();  // no pool: run inline
-  dispatch(std::move(done));
 }
 
 Nanos EventLoop::now_locked() const {

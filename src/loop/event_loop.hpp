@@ -14,7 +14,7 @@
 //     VirtualClock, deterministically (fixed loop order, (deadline,id)
 //     timer order, FIFO queues).
 //   - EpollDriver: one OS thread per loop, epoll for fd readiness +
-//     eventfd wakeup, an optional shared ThreadPool for offload().
+//     eventfd wakeup.
 //
 // Threading contract: post()/dispatch()/schedule()/run_sync() are
 // thread-safe. Tasks, timer callbacks, and fd callbacks execute on the
@@ -36,10 +36,6 @@
 #include "loop/hier_wheel.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
-
-namespace h2 {
-class ThreadPool;
-}
 
 namespace h2::loop {
 
@@ -89,8 +85,6 @@ class Driver {
   /// Registers/removes an fd with the driver's poller. Thread-safe.
   virtual Status fd_add(int fd, unsigned interest) = 0;
   virtual void fd_remove(int fd) = 0;
-  /// Pool for offload() work; nullptr = run offloaded work inline.
-  virtual ThreadPool* worker_pool() { return nullptr; }
 };
 
 class EventLoop {
@@ -138,10 +132,6 @@ class EventLoop {
   /// (eager mode, non-threaded driver, or already on the loop thread),
   /// otherwise posts and blocks until the loop thread ran it.
   void run_sync(Task task);
-
-  /// Runs `work` on the driver's worker pool (or inline without one),
-  /// then delivers `done` back through dispatch().
-  void offload(Task work, Task done);
 
   /// Driver time base; monotonic wall clock in eager mode.
   Nanos now() const;

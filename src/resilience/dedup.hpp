@@ -4,8 +4,12 @@
 // double-apply its side effect. So the ResilientChannel stamps every
 // logical call with an idempotency key (SOAP <h2:CallId> header / XDR
 // H2RC frame field) and keeps the SAME key across retries of one call;
-// the server caches the serialized reply bytes under that key and replays
-// them verbatim for any duplicate arrival. The handler executes at most
+// the server caches the serialized reply under that key and replays it
+// verbatim for any duplicate arrival. The cached unit is one call's
+// reply, never a whole transport response — the "H2RP" frame for XDR and
+// raw HTTP, the Body element (opResponse or Fault) for SOAP — so one
+// cache serves every binding and a retry may switch between singleton
+// and batch shape. The handler executes at most
 // once per key; at-most-once composes with the client's retry loop into
 // effectively-once for calls that eventually get a reply through.
 //

@@ -194,19 +194,6 @@ namespace {
 
 constexpr std::size_t kEnvelopeOverhead = 256;
 
-std::size_t estimate_request(std::string_view operation, std::string_view service_ns,
-                             std::span<const Value> params,
-                             std::span<const HeaderEntry> headers) {
-  std::size_t est = kEnvelopeOverhead + 2 * operation.size() + service_ns.size();
-  for (const HeaderEntry& h : headers) {
-    est += 2 * h.name.size() + h.ns.size() + h.value.size() + h.actor.size() + 64;
-  }
-  for (const Value& p : params) {
-    est += EnvelopeWriter::estimate(p, p.name().empty() ? 5 : p.name().size());
-  }
-  return est;
-}
-
 /// Writes one request parameter, defaulting unnamed params to argN.
 void write_param(EnvelopeWriter& w, const Value& p, int position) {
   if (!p.name().empty()) {
@@ -220,22 +207,40 @@ void write_param(EnvelopeWriter& w, const Value& p, int position) {
 
 }  // namespace
 
-void build_request_into(std::string& out, std::string_view operation,
-                        std::string_view service_ns, std::span<const Value> params,
-                        std::span<const HeaderEntry> headers) {
+void build_batch_request_into(std::string& out, std::string_view service_ns,
+                              std::span<const BatchCall> calls,
+                              std::span<const HeaderEntry> headers) {
   out.clear();
-  std::size_t est = estimate_request(operation, service_ns, params, headers);
+  std::size_t est = kEnvelopeOverhead + service_ns.size();
+  for (const HeaderEntry& h : headers) {
+    est += 2 * h.name.size() + h.ns.size() + h.value.size() + h.actor.size() + 64;
+  }
+  for (const BatchCall& call : calls) {
+    est += 2 * call.operation.size() + 32;
+    for (const Value& p : call.params) {
+      est += EnvelopeWriter::estimate(p, p.name().empty() ? 5 : p.name().size());
+    }
+  }
   if (out.capacity() < est) out.reserve(est);
   EnvelopeWriter w(out);
   w.envelope_open();
   w.headers(headers);
   w.body_open();
-  w.call_open(operation, service_ns, /*response=*/false);
-  int position = 0;
-  for (const Value& p : params) write_param(w, p, position++);
-  w.call_close(operation, /*response=*/false);
+  for (const BatchCall& call : calls) {
+    w.call_open(call.operation, service_ns, /*response=*/false);
+    int position = 0;
+    for (const Value& p : call.params) write_param(w, p, position++);
+    w.call_close(call.operation, /*response=*/false);
+  }
   w.body_close();
   w.envelope_close();
+}
+
+void build_request_into(std::string& out, std::string_view operation,
+                        std::string_view service_ns, std::span<const Value> params,
+                        std::span<const HeaderEntry> headers) {
+  const BatchCall call{operation, params};
+  build_batch_request_into(out, service_ns, {&call, 1}, headers);
 }
 
 void build_response_into(std::string& out, std::string_view operation,
@@ -262,11 +267,6 @@ void build_fault_into(std::string& out, const Fault& fault) {
   w.fault(fault);
   w.body_close();
   w.envelope_close();
-}
-
-std::string build_request(std::string_view operation, std::string_view service_ns,
-                          std::span<const Value> params) {
-  return build_request(operation, service_ns, params, {});
 }
 
 std::string build_request(std::string_view operation, std::string_view service_ns,
@@ -488,85 +488,6 @@ Status read_headers(PullParser& p, ParseScratch& scratch,
   }
 }
 
-}  // namespace
-
-Result<RpcCall> parse_request(std::string_view envelope_xml,
-                              const HrefResolver* resolver) {
-  PullParser p(envelope_xml);
-  ParseScratch scratch;
-  if (auto st = open_envelope(p); !st.ok()) return st.error().context("soap request");
-
-  RpcCall out;
-  bool seen_header = false;
-  bool seen_body = false;
-  bool have_call = false;
-  while (true) {
-    auto t = p.next();
-    if (!t.ok()) return t.error().context("soap request");
-    if (*t == Token::kEndElement && p.depth() == 0) break;
-    if (*t != Token::kStartElement) continue;
-
-    if (p.local_name() == "Header" && !seen_header) {
-      seen_header = true;
-      auto st = read_headers(p, scratch, out.headers);
-      if (!st.ok()) return st.error().context("soap request");
-      continue;
-    }
-    if (p.local_name() == "Body" && !seen_body) {
-      seen_body = true;
-      if (p.self_closing()) {
-        auto st = p.skip_element();
-        if (!st.ok()) return st.error().context("soap request");
-        continue;
-      }
-      while (true) {
-        auto bt = p.next();
-        if (!bt.ok()) return bt.error().context("soap request");
-        if (*bt == Token::kEndElement && p.depth() == 1) break;
-        if (*bt != Token::kStartElement) continue;
-        if (have_call) {
-          return err::parse(
-              "soap: request Body must contain exactly one operation element");
-        }
-        have_call = true;
-        out.operation.assign(p.local_name());
-        if (auto ns = p.namespace_uri()) out.service_ns.assign(*ns);
-        if (p.self_closing()) {
-          auto st = p.skip_element();
-          if (!st.ok()) return st.error().context("soap request");
-          continue;
-        }
-        while (true) {
-          auto pt = p.next();
-          if (!pt.ok()) return pt.error().context("soap request");
-          if (*pt == Token::kEndElement && p.depth() == 2) break;
-          if (*pt != Token::kStartElement) continue;
-          auto v = read_param(p, resolver, scratch);
-          if (!v.ok()) return v.error().context("parameter of " + out.operation);
-          out.params.push_back(std::move(*v));
-        }
-      }
-      continue;
-    }
-    // Extra Body/Header elements or foreign envelope children: skip whole.
-    auto st = p.skip_element();
-    if (!st.ok()) return st.error().context("soap request");
-  }
-  if (auto st = close_document(p); !st.ok()) return st.error().context("soap request");
-
-  if (!seen_body) return err::parse("soap: missing Body");
-  if (!have_call) {
-    return err::parse("soap: request Body must contain exactly one operation element");
-  }
-  return out;
-}
-
-Result<RpcCall> parse_request(std::string_view envelope_xml) {
-  return parse_request(envelope_xml, nullptr);
-}
-
-namespace {
-
 /// Reads the children of a <Fault> element (parser on its start tag).
 Result<Fault> read_fault(PullParser& p, ParseScratch& scratch) {
   Fault fault;
@@ -611,120 +532,8 @@ Result<Fault> read_fault(PullParser& p, ParseScratch& scratch) {
 
 }  // namespace
 
-Result<RpcReply> parse_reply(std::string_view envelope_xml,
-                             const HrefResolver* resolver) {
-  PullParser p(envelope_xml);
-  ParseScratch scratch;
-  if (auto st = open_envelope(p); !st.ok()) return st.error().context("soap reply");
-
-  std::optional<RpcReply> reply;
-  bool seen_body = false;
-  bool have_payload = false;
-  while (true) {
-    auto t = p.next();
-    if (!t.ok()) return t.error().context("soap reply");
-    if (*t == Token::kEndElement && p.depth() == 0) break;
-    if (*t != Token::kStartElement) continue;
-
-    if (p.local_name() == "Body" && !seen_body) {
-      seen_body = true;
-      if (p.self_closing()) {
-        auto st = p.skip_element();
-        if (!st.ok()) return st.error().context("soap reply");
-        continue;
-      }
-      while (true) {
-        auto bt = p.next();
-        if (!bt.ok()) return bt.error().context("soap reply");
-        if (*bt == Token::kEndElement && p.depth() == 1) break;
-        if (*bt != Token::kStartElement) continue;
-        if (have_payload) {
-          return err::parse("soap: reply Body must contain exactly one element");
-        }
-        have_payload = true;
-
-        if (p.local_name() == "Fault") {
-          auto fault = read_fault(p, scratch);
-          if (!fault.ok()) return fault.error().context("soap reply");
-          reply = RpcReply{std::move(*fault)};
-          continue;
-        }
-
-        // <opResponse>: first child element is the return value; a void
-        // response has none.
-        bool have_value = false;
-        if (p.self_closing()) {
-          auto st = p.skip_element();
-          if (!st.ok()) return st.error().context("soap reply");
-          reply = RpcReply{Value::of_void("return")};
-          continue;
-        }
-        int base = p.depth();
-        while (true) {
-          auto rt = p.next();
-          if (!rt.ok()) return rt.error().context("soap reply");
-          if (*rt == Token::kEndElement && p.depth() == base - 1) break;
-          if (*rt != Token::kStartElement) continue;
-          if (have_value) {
-            auto st = p.skip_element();
-            if (!st.ok()) return st.error().context("soap reply");
-            continue;
-          }
-          have_value = true;
-          auto v = read_param(p, resolver, scratch);
-          if (!v.ok()) return v.error().context("soap return value");
-          reply = RpcReply{std::move(*v)};
-        }
-        if (!have_value) reply = RpcReply{Value::of_void("return")};
-      }
-      continue;
-    }
-    auto st = p.skip_element();
-    if (!st.ok()) return st.error().context("soap reply");
-  }
-  if (auto st = close_document(p); !st.ok()) return st.error().context("soap reply");
-
-  if (!seen_body) return err::parse("soap: missing Body");
-  if (!reply) return err::parse("soap: reply Body must contain exactly one element");
-  return std::move(*reply);
-}
-
-Result<RpcReply> parse_reply(std::string_view envelope_xml) {
-  return parse_reply(envelope_xml, nullptr);
-}
-
-// ---- batching -----------------------------------------------------------------
-
-void build_batch_request_into(std::string& out, std::string_view service_ns,
-                              std::span<const BatchCall> calls,
-                              std::span<const HeaderEntry> headers) {
-  out.clear();
-  std::size_t est = kEnvelopeOverhead + service_ns.size();
-  for (const HeaderEntry& h : headers) {
-    est += 2 * h.name.size() + h.ns.size() + h.value.size() + h.actor.size() + 64;
-  }
-  for (const BatchCall& call : calls) {
-    est += 2 * call.operation.size() + 32;
-    for (const Value& p : call.params) {
-      est += EnvelopeWriter::estimate(p, p.name().empty() ? 5 : p.name().size());
-    }
-  }
-  if (out.capacity() < est) out.reserve(est);
-  EnvelopeWriter w(out);
-  w.envelope_open();
-  w.headers(headers);
-  w.body_open();
-  for (const BatchCall& call : calls) {
-    w.call_open(call.operation, service_ns, /*response=*/false);
-    int position = 0;
-    for (const Value& p : call.params) write_param(w, p, position++);
-    w.call_close(call.operation, /*response=*/false);
-  }
-  w.body_close();
-  w.envelope_close();
-}
-
-Result<BatchRpcCall> parse_batch_request(std::string_view envelope_xml) {
+Result<BatchRpcCall> parse_batch_request(std::string_view envelope_xml,
+                                         const HrefResolver* resolver) {
   PullParser p(envelope_xml);
   ParseScratch scratch;
   if (auto st = open_envelope(p); !st.ok()) return st.error().context("soap request");
@@ -772,7 +581,7 @@ Result<BatchRpcCall> parse_batch_request(std::string_view envelope_xml) {
           if (!pt.ok()) return pt.error().context("soap request");
           if (*pt == Token::kEndElement && p.depth() == 2) break;
           if (*pt != Token::kStartElement) continue;
-          auto v = read_param(p, /*resolver=*/nullptr, scratch);
+          auto v = read_param(p, resolver, scratch);
           if (!v.ok()) return v.error().context("parameter of " + call.operation);
           call.params.push_back(std::move(*v));
         }
@@ -780,6 +589,7 @@ Result<BatchRpcCall> parse_batch_request(std::string_view envelope_xml) {
       }
       continue;
     }
+    // Extra Body/Header elements or foreign envelope children: skip whole.
     auto st = p.skip_element();
     if (!st.ok()) return st.error().context("soap request");
   }
@@ -789,7 +599,8 @@ Result<BatchRpcCall> parse_batch_request(std::string_view envelope_xml) {
   return out;
 }
 
-Result<std::vector<RpcReply>> parse_batch_reply(std::string_view envelope_xml) {
+Result<std::vector<RpcReply>> parse_batch_reply(std::string_view envelope_xml,
+                                                const HrefResolver* resolver) {
   PullParser p(envelope_xml);
   ParseScratch scratch;
   if (auto st = open_envelope(p); !st.ok()) return st.error().context("soap reply");
@@ -822,15 +633,17 @@ Result<std::vector<RpcReply>> parse_batch_reply(std::string_view envelope_xml) {
           continue;
         }
 
-        bool have_value = false;
+        // <opResponse>: the first child element is the return value; a
+        // void response has none.
+        RpcReply reply{Value::of_void("return")};
         if (p.self_closing()) {
           auto st = p.skip_element();
           if (!st.ok()) return st.error().context("soap reply");
-          out.push_back(RpcReply{Value::of_void("return")});
+          out.push_back(std::move(reply));
           continue;
         }
+        bool have_value = false;
         int base = p.depth();
-        RpcReply reply{Value::of_void("return")};
         while (true) {
           auto rt = p.next();
           if (!rt.ok()) return rt.error().context("soap reply");
@@ -842,7 +655,7 @@ Result<std::vector<RpcReply>> parse_batch_reply(std::string_view envelope_xml) {
             continue;
           }
           have_value = true;
-          auto v = read_param(p, /*resolver=*/nullptr, scratch);
+          auto v = read_param(p, resolver, scratch);
           if (!v.ok()) return v.error().context("soap return value");
           reply = RpcReply{std::move(*v)};
         }
@@ -857,6 +670,26 @@ Result<std::vector<RpcReply>> parse_batch_reply(std::string_view envelope_xml) {
 
   if (!seen_body) return err::parse("soap: missing Body");
   return out;
+}
+
+Result<RpcCall> parse_request(std::string_view envelope_xml, const HrefResolver* resolver) {
+  auto batch = parse_batch_request(envelope_xml, resolver);
+  if (!batch.ok()) return batch.error();
+  if (batch->calls.size() != 1) {
+    return err::parse("soap: request Body must contain exactly one operation element");
+  }
+  BatchRpcCall::Call& call = batch->calls.front();
+  return RpcCall{std::move(call.operation), std::move(batch->service_ns),
+                 std::move(batch->headers), std::move(call.params)};
+}
+
+Result<RpcReply> parse_reply(std::string_view envelope_xml, const HrefResolver* resolver) {
+  auto replies = parse_batch_reply(envelope_xml, resolver);
+  if (!replies.ok()) return replies.error();
+  if (replies->size() != 1) {
+    return err::parse("soap: reply Body must contain exactly one element");
+  }
+  return std::move(replies->front());
 }
 
 }  // namespace h2::soap

@@ -72,14 +72,11 @@ struct RpcReply {
 // ---- building -----------------------------------------------------------------
 
 /// Serializes an RPC request envelope. `operation` becomes the body child
-/// element in namespace `service_ns`; params become its children.
-std::string build_request(std::string_view operation, std::string_view service_ns,
-                          std::span<const Value> params);
-
-/// As above, with SOAP Header entries.
+/// element in namespace `service_ns`; params become its children, and
+/// `headers` become SOAP Header entries.
 std::string build_request(std::string_view operation, std::string_view service_ns,
                           std::span<const Value> params,
-                          std::span<const HeaderEntry> headers);
+                          std::span<const HeaderEntry> headers = {});
 
 /// Serializes an RPC response envelope (`<opResponse><return .../></op…>`).
 std::string build_response(std::string_view operation, std::string_view service_ns,
@@ -89,8 +86,9 @@ std::string build_response(std::string_view operation, std::string_view service_
 std::string build_fault(const Fault& fault);
 
 /// Buffer-reusing forms: clear `out` and build into it, preserving its
-/// capacity. Steady-state callers (channels, the SOAP HTTP server) keep
-/// one scratch string alive so repeated calls stop allocating.
+/// capacity. Steady-state callers keep one scratch string alive so
+/// repeated calls stop allocating. A request is a batch of one:
+/// build_request_into is build_batch_request_into with a single call.
 void build_request_into(std::string& out, std::string_view operation,
                         std::string_view service_ns, std::span<const Value> params,
                         std::span<const HeaderEntry> headers = {});
@@ -132,27 +130,27 @@ class EnvelopeWriter {
 };
 
 // ---- parsing -------------------------------------------------------------------
-
-/// Parses a request envelope into an RpcCall.
-Result<RpcCall> parse_request(std::string_view envelope_xml);
-
-/// Parses a response envelope into an RpcReply (result or fault).
-Result<RpcReply> parse_reply(std::string_view envelope_xml);
+// One walk per direction: parse_batch_request/parse_batch_reply read every
+// Body element, and parse_request/parse_reply are the exactly-one case of
+// the same walk.
 
 /// Resolves a SOAP-with-Attachments parameter that carries an href
 /// attribute instead of inline content. Receives the href value as
 /// written ("cid:part1"), the element's xsi:type as written (empty when
-/// absent), and the element's local name. Used by soap::mime.
+/// absent), and the element's local name. Used by soap::mime. A null
+/// resolver ignores href: the element parses by xsi:type as usual.
 using HrefResolver = std::function<Result<Value>(
     std::string_view href, std::string_view xsi_type, std::string_view name)>;
 
-/// As parse_request/parse_reply, delegating href-carrying parameters to
-/// `resolver` (nullptr behaves like the plain overloads: href is ignored
-/// and the element parses by xsi:type as usual).
+/// Parses a request envelope whose Body holds exactly one operation
+/// element into an RpcCall.
 Result<RpcCall> parse_request(std::string_view envelope_xml,
-                              const HrefResolver* resolver);
+                              const HrefResolver* resolver = nullptr);
+
+/// Parses a response envelope whose Body holds exactly one element into
+/// an RpcReply (result or fault).
 Result<RpcReply> parse_reply(std::string_view envelope_xml,
-                             const HrefResolver* resolver);
+                             const HrefResolver* resolver = nullptr);
 
 // ---- batching -----------------------------------------------------------------
 // A batch envelope is ordinary SOAP 1.1 with REPEATED operation elements
@@ -168,8 +166,7 @@ struct BatchCall {
 
 /// A decoded multi-call request: shared headers plus the Body's operation
 /// elements in order. `service_ns` is the first operation's namespace
-/// (sub-calls of one service share it). A singleton request parses as a
-/// one-element batch.
+/// (sub-calls of one service share it).
 struct BatchRpcCall {
   std::string service_ns;
   std::vector<HeaderEntry> headers;
@@ -187,12 +184,13 @@ void build_batch_request_into(std::string& out, std::string_view service_ns,
                               std::span<const BatchCall> calls,
                               std::span<const HeaderEntry> headers = {});
 
-/// Parses a request Body carrying ANY number of operation elements (the
-/// strict parse_request is the exactly-one special case).
-Result<BatchRpcCall> parse_batch_request(std::string_view envelope_xml);
+/// Parses a request Body carrying any number of operation elements.
+Result<BatchRpcCall> parse_batch_request(std::string_view envelope_xml,
+                                         const HrefResolver* resolver = nullptr);
 
 /// Parses a reply Body carrying one element per sub-call (opResponse or
 /// Fault), in order.
-Result<std::vector<RpcReply>> parse_batch_reply(std::string_view envelope_xml);
+Result<std::vector<RpcReply>> parse_batch_reply(std::string_view envelope_xml,
+                                                const HrefResolver* resolver = nullptr);
 
 }  // namespace h2::soap

@@ -17,8 +17,9 @@
 // "H2RB"/"H2RZ" are the batching layer's multi-call frames: each
 // sub-frame is a complete, length-prefixed singleton frame, so a batch
 // sub-reply is byte-identical to the reply a singleton call would have
-// received — which is what lets the server's DedupCache replay cached
-// singleton replies into batches (and vice versa) without re-encoding.
+// received. The server serves both shapes with one function, and the
+// "H2RP" reply frame is the unit its DedupCache stores: a cached reply
+// replays into a batch or as a singleton without re-encoding.
 #pragma once
 
 #include <span>
@@ -86,7 +87,7 @@ void marshal_call_into(enc::XdrWriter& writer, std::string_view operation,
 void marshal_reply_into(enc::XdrWriter& writer, const Result<Value>& outcome);
 
 /// True when `bytes` begins with the "H2RB" batch-call magic — how the
-/// servers route between the singleton and batch dispatch paths.
+/// server tells a batch frame from a singleton one.
 bool is_batch_call(std::span<const std::uint8_t> bytes);
 /// True when `bytes` begins with the "H2RZ" batch-reply magic.
 bool is_batch_reply(std::span<const std::uint8_t> bytes);

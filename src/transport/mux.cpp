@@ -69,7 +69,7 @@ Result<std::optional<std::span<const std::uint8_t>>> FrameAssembler::next() {
   return std::optional(data.subspan(0, *size));
 }
 
-ConnMux::ConnMux(ByteBufferPool& pool, loop::EventLoop* loop)
+ConnMux::ConnMux(ByteBufferPool& pool, loop::EventLoop& loop)
     : pool_(pool), loop_(loop) {}
 
 ConnMux::~ConnMux() { shutdown(); }
@@ -84,29 +84,13 @@ void ConnMux::set_max_outbound_bytes(std::size_t cap) {
   max_outbound_ = cap;
 }
 
-loop::EventLoop* ConnMux::event_loop() const {
-  std::lock_guard lock(mu_);
-  return loop_;
-}
-
 Result<int> ConnMux::add_listener(OwnedFd listener, Handler handler) {
   std::lock_guard lock(mu_);
   if (stop_) return err::unavailable("socknet: mux is shut down");
-  if (loop_ == nullptr) {
-    // Standalone mode: private reactor, started on first use.
-    owned_loop_ = std::make_unique<loop::EventLoop>("connmux");
-    owned_driver_ = std::make_unique<loop::EpollDriver>(*owned_loop_);
-    if (!owned_driver_->ok()) {
-      owned_driver_.reset();
-      owned_loop_.reset();
-      return err::internal("socknet: cannot start mux reactor");
-    }
-    loop_ = owned_loop_.get();
-  }
   int id = next_listener_id_++;
   int raw = listener.get();
   listeners_.push_back(Listener{id, std::move(listener), std::move(handler)});
-  auto watched = loop_->watch_fd(
+  auto watched = loop_.watch_fd(
       raw, loop::kFdRead, [this, id](unsigned) { on_listener_ready(id); });
   if (!watched.ok()) {
     listeners_.pop_back();
@@ -116,7 +100,6 @@ Result<int> ConnMux::add_listener(OwnedFd listener, Handler handler) {
 }
 
 Status ConnMux::remove_listener(int id) {
-  loop::EventLoop* loop = nullptr;
   {
     std::lock_guard lock(mu_);
     auto it = std::find_if(listeners_.begin(), listeners_.end(),
@@ -124,44 +107,34 @@ Status ConnMux::remove_listener(int id) {
     if (it == listeners_.end()) {
       return err::not_found("socknet: no listener " + std::to_string(id));
     }
-    if (loop_ != nullptr) (void)loop_->unwatch_fd(it->fd.get());
+    (void)loop_.unwatch_fd(it->fd.get());
     // Closing the fd here releases the port immediately; the listener's
     // live connections die on the loop thread (where their callbacks run).
     listeners_.erase(it);
-    loop = loop_;
   }
-  if (loop != nullptr) {
-    loop->dispatch([this] { sweep_orphans(); });
-  }
+  loop_.dispatch([this] { sweep_orphans(); });
   return Status::success();
 }
 
 void ConnMux::shutdown() {
-  loop::EventLoop* loop = nullptr;
   {
     std::lock_guard lock(mu_);
     if (stop_) return;
     stop_ = true;
-    loop = loop_;
   }
-  // Private driver: join its thread first so teardown cannot race event
-  // delivery; the loop reverts to eager and run_sync runs inline.
-  if (owned_driver_ != nullptr) owned_driver_->stop();
-  if (loop != nullptr) {
-    loop->run_sync([this] { teardown_all(); });
-  }
+  loop_.run_sync([this] { teardown_all(); });
 }
 
 void ConnMux::teardown_all() {
   std::lock_guard lock(mu_);
   for (auto& conn : conns_) {
-    if (loop_ != nullptr) (void)loop_->unwatch_fd(conn->fd.get());
+    (void)loop_.unwatch_fd(conn->fd.get());
     pool_.release(conn->assembler.release());
     ++stats_.closed;
   }
   conns_.clear();
   for (auto& listener : listeners_) {
-    if (loop_ != nullptr) (void)loop_->unwatch_fd(listener.fd.get());
+    (void)loop_.unwatch_fd(listener.fd.get());
   }
   listeners_.clear();
 }
@@ -186,7 +159,7 @@ void ConnMux::on_listener_ready(int id) {
     conn->assembler = FrameAssembler(pool_.acquire());
     conn->handler = it->handler;
     Conn* raw = conn.get();
-    auto watched = loop_->watch_fd(
+    auto watched = loop_.watch_fd(
         conn->fd.get(), loop::kFdRead,
         [this, raw](unsigned events) { on_conn_ready(raw, events); });
     if (!watched.ok()) {
@@ -234,7 +207,7 @@ void ConnMux::teardown_conn(Conn* conn, std::string_view reason, bool immediate)
     auto it = std::find_if(conns_.begin(), conns_.end(),
                            [conn](const std::unique_ptr<Conn>& c) { return c.get() == conn; });
     if (it == conns_.end()) return;
-    if (loop_ != nullptr) (void)loop_->unwatch_fd(conn->fd.get());
+    (void)loop_.unwatch_fd(conn->fd.get());
     listener_id = conn->listener_id;
     pool_.release(conn->assembler.release());
     conns_.erase(it);
@@ -254,7 +227,7 @@ void ConnMux::sweep_orphans() {
     for (const Listener& listener : listeners_) live.insert(listener.id);
     for (auto it = conns_.begin(); it != conns_.end();) {
       if (live.count((*it)->listener_id) == 0) {
-        if (loop_ != nullptr) (void)loop_->unwatch_fd((*it)->fd.get());
+        (void)loop_.unwatch_fd((*it)->fd.get());
         pool_.release((*it)->assembler.release());
         downed.push_back((*it)->listener_id);
         it = conns_.erase(it);
@@ -304,15 +277,10 @@ bool ConnMux::service_conn(Conn& conn) {
     // honest signal left on a byte stream is closing the connection.
     if (!reply.ok()) return false;
     if (conn.assembler.proto() == Proto::kXdr) {
-      std::uint8_t prefix[4] = {
-          static_cast<std::uint8_t>(reply->size() >> 24),
-          static_cast<std::uint8_t>(reply->size() >> 16),
-          static_cast<std::uint8_t>(reply->size() >> 8),
-          static_cast<std::uint8_t>(reply->size()),
-      };
       // One gathering syscall: length prefix + pooled reply body; any
       // remainder the socket won't take queues in the per-conn outbox.
-      if (!send_or_buffer(conn, {prefix, 4}, reply->bytes())) return false;
+      const auto prefix = frame_prefix(reply->size());
+      if (!send_or_buffer(conn, prefix, reply->bytes())) return false;
     } else {
       if (!send_or_buffer(conn, reply->bytes(), {})) return false;
     }
@@ -340,11 +308,9 @@ bool ConnMux::send_or_buffer(Conn& conn, std::span<const std::uint8_t> first,
     if (first.empty() && second.empty()) return true;
   }
   std::size_t cap;
-  loop::EventLoop* loop;
   {
     std::lock_guard lock(mu_);
     cap = max_outbound_;
-    loop = loop_;
   }
   // Compact consumed storage before growing, as the assembler does.
   if (conn.outbox.remaining() == 0 && conn.outbox.size() > 0) conn.outbox.clear();
@@ -359,10 +325,9 @@ bool ConnMux::send_or_buffer(Conn& conn, std::span<const std::uint8_t> first,
     conn.close_reason = "backpressure-overflow";
     return false;
   }
-  if (!conn.write_watched && loop != nullptr) {
+  if (!conn.write_watched) {
     conn.write_watched = true;
-    (void)loop->set_fd_interest(conn.fd.get(),
-                                loop::kFdRead | loop::kFdWrite);
+    (void)loop_.set_fd_interest(conn.fd.get(), loop::kFdRead | loop::kFdWrite);
   }
   return true;
 }
@@ -380,14 +345,7 @@ bool ConnMux::flush_outbox(Conn& conn) {
   conn.outbox.clear();
   if (conn.write_watched) {
     conn.write_watched = false;
-    loop::EventLoop* loop;
-    {
-      std::lock_guard lock(mu_);
-      loop = loop_;
-    }
-    if (loop != nullptr) {
-      (void)loop->set_fd_interest(conn.fd.get(), loop::kFdRead);
-    }
+    (void)loop_.set_fd_interest(conn.fd.get(), loop::kFdRead);
   }
   return true;
 }

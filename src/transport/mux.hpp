@@ -16,6 +16,7 @@
 // final pipelined requests.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -25,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "loop/epoll_driver.hpp"
 #include "loop/event_loop.hpp"
 #include "transport/tcp.hpp"
 #include "transport/transport.hpp"
@@ -42,6 +42,13 @@ enum class Proto { kUnknown, kXdr, kHttp };
 /// Hard cap on one length-framed XDR message; a larger prefix is a
 /// protocol violation (or an HTTP stream mis-sniffed), not a real frame.
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
+
+/// The 4-byte big-endian length prefix that heads one length-framed XDR
+/// message on the wire (FrameAssembler strips it on the way in).
+inline std::array<std::uint8_t, 4> frame_prefix(std::size_t size) {
+  return {static_cast<std::uint8_t>(size >> 24), static_cast<std::uint8_t>(size >> 16),
+          static_cast<std::uint8_t>(size >> 8), static_cast<std::uint8_t>(size)};
+}
 
 /// Reassembles complete messages from an incremental byte stream. Bytes
 /// arrive in arbitrary fragments via append(); next() yields one complete
@@ -101,12 +108,10 @@ class ConnMux {
   using ConnDownFn =
       std::function<void(int listener_id, std::string_view reason, bool immediate)>;
 
-  /// With `loop == nullptr` the mux lazily creates a private loop plus
-  /// its own EpollDriver on first use (the standalone, PR 6-compatible
-  /// shape). Passing a loop makes this mux one reactor client among
-  /// many; the caller pairs the loop with a driver and keeps both alive
-  /// until after shutdown().
-  explicit ConnMux(ByteBufferPool& pool, loop::EventLoop* loop = nullptr);
+  /// Reacts on `loop`, one reactor client among possibly many. The
+  /// caller pairs the loop with a driver and keeps both alive until
+  /// after shutdown().
+  ConnMux(ByteBufferPool& pool, loop::EventLoop& loop);
   ~ConnMux();
   ConnMux(const ConnMux&) = delete;
   ConnMux& operator=(const ConnMux&) = delete;
@@ -132,14 +137,10 @@ class ConnMux {
   /// buffering without bound. 0 = unlimited.
   void set_max_outbound_bytes(std::size_t cap);
 
-  /// Unregisters and closes everything (stopping the private driver if
-  /// one was created). Idempotent.
+  /// Unregisters and closes everything. Idempotent.
   void shutdown();
 
   Stats stats() const;
-
-  /// The loop this mux reacts on (null until first use in private mode).
-  loop::EventLoop* event_loop() const;
 
  private:
   struct Listener {
@@ -178,10 +179,8 @@ class ConnMux {
   void teardown_all();
 
   ByteBufferPool& pool_;
+  loop::EventLoop& loop_;
   mutable std::mutex mu_;
-  loop::EventLoop* loop_ = nullptr;
-  std::unique_ptr<loop::EventLoop> owned_loop_;
-  std::unique_ptr<loop::EpollDriver> owned_driver_;
   std::vector<Listener> listeners_;
   std::vector<std::unique_ptr<Conn>> conns_;
   ConnDownFn conn_down_;

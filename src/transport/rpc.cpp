@@ -28,7 +28,21 @@ ErrorCode error_code_for_fault(const std::string& fault_code) {
   return fault_code == "Client" ? ErrorCode::kInvalidArgument : ErrorCode::kUnavailable;
 }
 
-// ---- batching helpers ---------------------------------------------------------
+/// Turns a decoded SOAP/MIME reply into a call result; a fault becomes an
+/// error whose message starts with `fault_prefix`.
+Result<Value> to_result(soap::RpcReply reply, std::string_view fault_prefix) {
+  if (reply.is_fault()) {
+    return Error(error_code_for_fault(reply.fault().code),
+                 std::string(fault_prefix) + reply.fault().describe());
+  }
+  return std::move(std::get<Value>(reply.payload));
+}
+
+/// Names a failed round trip in its error: "xdr call add", "soap batch".
+std::string round_trip_context(std::string_view binding, std::string_view operation,
+                               bool batch) {
+  return std::string(binding) + (batch ? " batch" : " call " + std::string(operation));
+}
 
 /// Gives every pending sub-call the same transport-level verdict.
 void fill_results(std::vector<Result<Value>>& results, std::size_t count,
@@ -37,52 +51,62 @@ void fill_results(std::vector<Result<Value>>& results, std::size_t count,
   results.assign(count, Result<Value>(error));
 }
 
-/// Appends one length-prefixed sub-reply directly into the batch frame:
-/// u32 placeholder, marshal in place, backpatch — no staging buffer.
-void append_sub_reply(enc::XdrWriter& out, const Result<Value>& outcome) {
-  const std::size_t length_at = out.size();
-  out.put_u32(0);
+/// Unmarshal -> dedup -> dispatch for one call frame, appending its
+/// "H2RP" reply frame to `out`. That frame is the XDR binding's cached
+/// unit, so a replayed call id gets the same bytes whether it arrives
+/// alone or inside a batch.
+void serve_call(std::span<const std::uint8_t> frame, Dispatcher& dispatcher,
+                resil::DedupCache* dedup, enc::XdrWriter& out) {
+  auto call = unmarshal_call(frame);
+  if (!call.ok()) {
+    marshal_reply_into(out, call.error().context("xdr server"));
+    return;
+  }
+  const bool keyed = dedup != nullptr && !call->call_id.empty();
+  if (keyed) {
+    if (auto cached = dedup->lookup(call->call_id)) {
+      out.buffer().write_bytes(cached->bytes());
+      return;
+    }
+  }
   const std::size_t start = out.size();
-  marshal_reply_into(out, outcome);
-  out.buffer().patch_u32_be(length_at, static_cast<std::uint32_t>(out.size() - start));
+  marshal_reply_into(out, dispatcher.dispatch(call->operation, call->params));
+  if (!keyed) return;
+  // Cache faults too: the dispatcher ran, and a duplicate must see the
+  // same outcome rather than a second execution.
+  ByteBuffer reply;
+  reply.write_bytes(out.buffer().bytes().subspan(start));
+  dedup->store(call->call_id, std::move(reply));
 }
 
-/// Server half of XDR batching, shared by serve_xdr and the raw HTTP
-/// mount: splits the "H2RB" frame, runs sub-calls in order, and streams
-/// an "H2RZ" frame of sub-replies. Sub-calls carrying an idempotency key
-/// go through `dedup` exactly like singleton calls — the cached unit is
-/// the singleton "H2RP" frame, so replays splice straight into the batch.
-ByteBuffer serve_batch_frame(std::span<const std::uint8_t> raw,
-                             Dispatcher& dispatcher, resil::DedupCache* dedup,
-                             ByteBuffer scratch) {
+/// The server half of the XDR binding, shared by serve_xdr and the raw
+/// HTTP mount. A singleton call frame gets its "H2RP" reply; an "H2RB"
+/// batch runs its sub-calls in order and gets an "H2RZ" frame of
+/// length-prefixed "H2RP" sub-replies. `scratch` donates its capacity.
+ByteBuffer serve_xdr_frame(std::span<const std::uint8_t> raw, Dispatcher& dispatcher,
+                           resil::DedupCache* dedup, ByteBuffer scratch) {
+  scratch.clear();
+  enc::XdrWriter out(std::move(scratch));
+  if (!is_batch_call(raw)) {
+    serve_call(raw, dispatcher, dedup, out);
+    return out.take();
+  }
   auto frames = split_batch_call(raw);
   if (!frames.ok()) {
     // Unreadable outer frame: answer with a singleton error reply. The
     // client demux recognizes the "H2RP" magic and applies the error to
     // every pending sub-call.
-    return marshal_reply(frames.error().context("xdr server"));
+    marshal_reply_into(out, frames.error().context("xdr server"));
+    return out.take();
   }
-  scratch.clear();
-  enc::XdrWriter out(std::move(scratch));
   marshal_batch_reply_begin(out, static_cast<std::uint32_t>(frames->size()));
   for (std::span<const std::uint8_t> frame : *frames) {
-    auto call = unmarshal_call(frame);
-    if (!call.ok()) {
-      append_sub_reply(out, call.error().context("xdr server"));
-      continue;
-    }
-    if (dedup != nullptr && !call->call_id.empty()) {
-      if (auto cached = dedup->lookup(call->call_id)) {
-        out.put_opaque(cached->bytes());
-        continue;
-      }
-      ByteBuffer reply =
-          marshal_reply(dispatcher.dispatch(call->operation, call->params));
-      out.put_opaque(reply.bytes());
-      dedup->store(call->call_id, std::move(reply));
-      continue;
-    }
-    append_sub_reply(out, dispatcher.dispatch(call->operation, call->params));
+    // u32 placeholder, serve in place, backpatch: no staging buffer.
+    const std::size_t length_at = out.size();
+    out.put_u32(0);
+    serve_call(frame, dispatcher, dedup, out);
+    out.buffer().patch_u32_be(length_at,
+                              static_cast<std::uint32_t>(out.size() - length_at - 4));
   }
   return out.take();
 }
@@ -153,20 +177,12 @@ class XdrChannel final : public Channel {
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
     // Marshal into a pooled buffer: after the first few calls the frame
     // capacity is recycled instead of reallocated per call.
     enc::XdrWriter writer(net_.buffer_pool().acquire());
     marshal_call_into(writer, operation, params, call_id_);
-    ByteBuffer frame = writer.take();
-    stats_ = CallStats{.entities_traversed = 4,  // stub, socket, skeleton, dispatcher
-                       .request_bytes = frame.size(),
-                       .response_bytes = 0};
-    auto response = net_.call(from_, *host, to_.port, frame.bytes());
-    net_.buffer_pool().release(std::move(frame));
-    if (!response.ok()) return response.error().context("xdr call " + std::string(operation));
-    stats_.response_bytes = response->size();
+    auto response = round_trip(writer.take(), operation, /*batch=*/false);
+    if (!response.ok()) return response.error();
     // unmarshal_reply borrows the response bytes (the decoded Value owns
     // its own storage), so the reply buffer can be recycled immediately.
     auto reply = unmarshal_reply(response->bytes());
@@ -178,23 +194,12 @@ class XdrChannel final : public Channel {
                       std::vector<Result<Value>>& results) override {
     results.clear();
     if (calls.empty()) return Status::success();
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) {
-      fill_results(results, calls.size(), host.error());
-      return host.error();
-    }
-    ByteBuffer frame = marshal_batch_call(calls, net_.buffer_pool().acquire());
-    stats_ = CallStats{.entities_traversed = 4,
-                       .request_bytes = frame.size(),
-                       .response_bytes = 0};
-    auto response = net_.call(from_, *host, to_.port, frame.bytes());
-    net_.buffer_pool().release(std::move(frame));
+    auto response = round_trip(marshal_batch_call(calls, net_.buffer_pool().acquire()),
+                               {}, /*batch=*/true);
     if (!response.ok()) {
-      Error error = response.error().context("xdr batch");
-      fill_results(results, calls.size(), error);
-      return error;
+      fill_results(results, calls.size(), response.error());
+      return response.error();
     }
-    stats_.response_bytes = response->size();
     Status verdict = demux_batch_reply(response->bytes(), calls.size(), results);
     net_.buffer_pool().release(std::move(*response));
     return verdict;
@@ -206,6 +211,26 @@ class XdrChannel final : public Channel {
   const Endpoint* remote() const override { return &to_; }
 
  private:
+  /// The one XDR round trip: sends `frame` (recycled to the pool) and
+  /// returns the reply bytes for the caller to decode and release.
+  Result<ByteBuffer> round_trip(ByteBuffer frame, std::string_view operation, bool batch) {
+    auto host = net_.resolve(to_.host);
+    if (!host.ok()) {
+      net_.buffer_pool().release(std::move(frame));
+      return host.error();
+    }
+    stats_ = CallStats{.entities_traversed = 4,  // stub, socket, skeleton, dispatcher
+                       .request_bytes = frame.size(),
+                       .response_bytes = 0};
+    auto response = net_.call(from_, *host, to_.port, frame.bytes());
+    net_.buffer_pool().release(std::move(frame));
+    if (!response.ok()) {
+      return response.error().context(round_trip_context("xdr", operation, batch));
+    }
+    stats_.response_bytes = response->size();
+    return response;
+  }
+
   Transport& net_;
   HostId from_;
   Endpoint to_;
@@ -213,307 +238,240 @@ class XdrChannel final : public Channel {
   CallStats stats_;
 };
 
-class SoapChannel final : public Channel {
+/// Base of the three HTTP POST bindings (soap, http, mime): they share one
+/// round trip and differ only in body encoding and error wording.
+class HttpPostChannel : public Channel {
  public:
+  CallStats last_stats() const override { return stats_; }
+  const Endpoint* remote() const override { return &to_; }
+
+ protected:
+  /// How a binding words its errors and which statuses carry a reply.
+  struct Labels {
+    const char* binding;       ///< "soap" -> "soap call op" / "soap batch"
+    const char* response;      ///< context of an unparsable HTTP response
+    const char* bad_status;    ///< prefix of a rejected status; nullptr accepts any
+    bool fault_status;         ///< a 500 carries an in-band fault reply
+  };
+
+  HttpPostChannel(Transport& net, HostId from, Endpoint to, int entities, Labels labels)
+      : net_(net), from_(from), to_(std::move(to)), entities_(entities), labels_(labels) {}
+
+  /// POSTs `request` (its headers and body already set) to the endpoint
+  /// and returns the parsed response once its status passes the check.
+  Result<http::Response> post(http::Request& request, std::string_view operation,
+                              bool batch) {
+    auto host = net_.resolve(to_.host);
+    if (!host.ok()) return host.error();
+    request.method = "POST";
+    request.target = "/" + to_.path;
+    ByteBuffer wire = request.serialize(to_.host);
+    stats_ = CallStats{.entities_traversed = entities_,
+                       .request_bytes = wire.size(),
+                       .response_bytes = 0};
+    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
+    if (!raw.ok()) {
+      return raw.error().context(round_trip_context(labels_.binding, operation, batch));
+    }
+    stats_.response_bytes = raw->size();
+    auto response = http::parse_response(raw->bytes());
+    if (!response.ok()) return response.error().context(labels_.response);
+    const bool accepted = response->status == 200 ||
+                          (labels_.fault_status && response->status == 500);
+    if (labels_.bad_status != nullptr && !accepted) {
+      return err::unavailable(labels_.bad_status + std::to_string(response->status) +
+                              " " + response->reason);
+    }
+    return response;
+  }
+
+  Transport& net_;
+  HostId from_;
+  Endpoint to_;
+  int entities_;
+  Labels labels_;
+  CallStats stats_;
+};
+
+class SoapChannel final : public HttpPostChannel {
+ public:
+  // stub, soap encoder, http client, socket, http server, soap decoder
+  // = 6 entities before the dispatcher runs.
   SoapChannel(Transport& net, HostId from, Endpoint to, std::string service_ns)
-      : net_(net), from_(from), to_(std::move(to)), service_ns_(std::move(service_ns)) {}
+      : HttpPostChannel(net, from, std::move(to), 6,
+                        {"soap", "soap http response", "soap: http status ", true}),
+        service_ns_(std::move(service_ns)) {}
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
-
-    http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
-    request.headers.set("Content-Type", "text/xml; charset=utf-8");
-    request.headers.set("SOAPAction", "\"" + service_ns_ + "#" + std::string(operation) + "\"");
-    // Build into the channel's scratch buffer so steady-state calls reuse
-    // its capacity, then lend it to the request for serialization. When a
-    // span is open on this thread, its context rides along as a
-    // non-mustUnderstand <h2:Trace> header so the serving host can
-    // continue the trace.
-    headers_.clear();
-    obs::TraceContext trace = obs::Tracer::current();
-    if (trace.valid()) {
-      soap::HeaderEntry trace_header;
-      trace_header.name = std::string(obs::kTraceHeaderName);
-      trace_header.ns = std::string(obs::kTraceHeaderNs);
-      trace_header.value = obs::encode_trace_header(trace);
-      headers_.push_back(std::move(trace_header));
-    }
+    begin_headers();
     if (!call_id_.empty()) {
       // Idempotency key, same non-mustUnderstand shape as Trace: servers
       // without dedup simply ignore it.
-      soap::HeaderEntry id_header;
-      id_header.name = std::string(resil::kCallIdHeaderName);
-      id_header.ns = std::string(resil::kCallIdHeaderNs);
-      id_header.value = call_id_;
-      headers_.push_back(std::move(id_header));
+      add_header(resil::kCallIdHeaderName, resil::kCallIdHeaderNs, call_id_);
     }
-    soap::build_request_into(envelope_, operation, service_ns_, params, headers_);
-    request.body = std::move(envelope_);
-    ByteBuffer wire = request.serialize(to_.host);
-    envelope_ = std::move(request.body);
-
-    // stub, soap encoder, http client, socket, http server, soap decoder
-    // = 6 entities before the dispatcher runs.
-    stats_ = CallStats{.entities_traversed = 6,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) return raw.error().context("soap call " + std::string(operation));
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) return response.error().context("soap http response");
-    if (response->status != 200 && response->status != 500) {
-      return err::unavailable("soap: http status " + std::to_string(response->status) +
-                              " " + response->reason);
-    }
+    const soap::BatchCall call{operation, params};
+    auto response = post_envelope({&call, 1}, operation, /*batch=*/false);
+    if (!response.ok()) return response.error();
     auto reply = soap::parse_reply(response->body);
     if (!reply.ok()) return reply.error();
-    if (reply->is_fault()) {
-      return Error(error_code_for_fault(reply->fault().code),
-                   "soap fault: " + reply->fault().describe());
-    }
-    return reply->value();
+    return to_result(std::move(*reply), "soap fault: ");
   }
 
   Status invoke_batch(std::span<const BatchItem> calls,
                       std::vector<Result<Value>>& results) override {
     results.clear();
     if (calls.empty()) return Status::success();
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) {
-      fill_results(results, calls.size(), host.error());
-      return host.error();
-    }
-
-    http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
-    request.headers.set("Content-Type", "text/xml; charset=utf-8");
-    request.headers.set("SOAPAction", "\"" + service_ns_ + "#batch\"");
-    headers_.clear();
-    obs::TraceContext trace = obs::Tracer::current();
-    if (trace.valid()) {
-      soap::HeaderEntry trace_header;
-      trace_header.name = std::string(obs::kTraceHeaderName);
-      trace_header.ns = std::string(obs::kTraceHeaderNs);
-      trace_header.value = obs::encode_trace_header(trace);
-      headers_.push_back(std::move(trace_header));
-    }
     // The batch marker: count + comma-joined per-sub-call idempotency keys
     // (position i names sub-call i; empty slots mean "no key"). Both are
     // plain non-mustUnderstand headers.
-    soap::HeaderEntry count_header;
-    count_header.name = kBatchCountHeaderName;
-    count_header.ns = kBatchHeaderNs;
-    count_header.value = std::to_string(calls.size());
-    headers_.push_back(std::move(count_header));
+    begin_headers();
+    add_header(kBatchCountHeaderName, kBatchHeaderNs, std::to_string(calls.size()));
     bool any_ids = false;
     for (const BatchItem& item : calls) any_ids = any_ids || !item.call_id.empty();
     if (any_ids) {
-      soap::HeaderEntry ids_header;
-      ids_header.name = kBatchIdsHeaderName;
-      ids_header.ns = kBatchHeaderNs;
+      std::string ids;
       for (std::size_t i = 0; i < calls.size(); ++i) {
-        if (i > 0) ids_header.value += ',';
-        ids_header.value += calls[i].call_id;
+        if (i > 0) ids += ',';
+        ids += calls[i].call_id;
       }
-      headers_.push_back(std::move(ids_header));
+      add_header(kBatchIdsHeaderName, kBatchHeaderNs, std::move(ids));
     }
-
     batch_scratch_.clear();
     batch_scratch_.reserve(calls.size());
     for (const BatchItem& item : calls) {
       batch_scratch_.push_back({item.operation, item.params});
     }
-    soap::build_batch_request_into(envelope_, service_ns_, batch_scratch_, headers_);
-    request.body = std::move(envelope_);
-    ByteBuffer wire = request.serialize(to_.host);
-    envelope_ = std::move(request.body);
-    stats_ = CallStats{.entities_traversed = 6,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) {
-      Error error = raw.error().context("soap batch");
+    auto fail = [&](Error error) -> Status {
       fill_results(results, calls.size(), error);
       return error;
-    }
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) {
-      Error error = response.error().context("soap http response");
-      fill_results(results, calls.size(), error);
-      return error;
-    }
-    if (response->status != 200 && response->status != 500) {
-      Error error = err::unavailable("soap: http status " +
-                                     std::to_string(response->status) + " " +
-                                     response->reason);
-      fill_results(results, calls.size(), error);
-      return error;
-    }
+    };
+    auto response = post_envelope(batch_scratch_, "batch", /*batch=*/true);
+    if (!response.ok()) return fail(response.error());
     auto replies = soap::parse_batch_reply(response->body);
-    if (!replies.ok()) {
-      fill_results(results, calls.size(), replies.error());
-      return replies.error();
-    }
+    if (!replies.ok()) return fail(replies.error());
     if (replies->size() != calls.size()) {
       // A single fault element answering a multi-call batch is a
       // whole-envelope rejection (bad request, MustUnderstand, ...).
       if (replies->size() == 1 && (*replies)[0].is_fault()) {
-        const soap::Fault& f = (*replies)[0].fault();
-        Error error(error_code_for_fault(f.code), "soap fault: " + f.describe());
-        fill_results(results, calls.size(), error);
-        return error;
+        return fail(to_result(std::move((*replies)[0]), "soap fault: ").error());
       }
-      Error error(ErrorCode::kParseError,
-                  "soap: batch reply count " + std::to_string(replies->size()) +
-                      " != request count " + std::to_string(calls.size()));
-      fill_results(results, calls.size(), error);
-      return error;
+      return fail(Error(ErrorCode::kParseError,
+                        "soap: batch reply count " + std::to_string(replies->size()) +
+                            " != request count " + std::to_string(calls.size())));
     }
     results.reserve(calls.size());
     for (soap::RpcReply& reply : *replies) {
-      if (reply.is_fault()) {
-        results.push_back(Result<Value>(Error(error_code_for_fault(reply.fault().code),
-                                              "soap fault: " + reply.fault().describe())));
-      } else {
-        results.push_back(Result<Value>(std::move(std::get<Value>(reply.payload))));
-      }
+      results.push_back(to_result(std::move(reply), "soap fault: "));
     }
     return Status::success();
   }
 
   const char* binding_name() const override { return "soap"; }
-  CallStats last_stats() const override { return stats_; }
   void set_call_id(std::string call_id) override { call_id_ = std::move(call_id); }
-  const Endpoint* remote() const override { return &to_; }
 
  private:
-  Transport& net_;
-  HostId from_;
-  Endpoint to_;
+  /// Starts the header list of the next request. When a span is open on
+  /// this thread, its context rides along as a non-mustUnderstand
+  /// <h2:Trace> header so the serving host can continue the trace.
+  void begin_headers() {
+    headers_.clear();
+    obs::TraceContext trace = obs::Tracer::current();
+    if (trace.valid()) {
+      add_header(obs::kTraceHeaderName, obs::kTraceHeaderNs,
+                 obs::encode_trace_header(trace));
+    }
+  }
+
+  void add_header(std::string_view name, std::string_view ns, std::string value) {
+    soap::HeaderEntry entry;
+    entry.name = std::string(name);
+    entry.ns = std::string(ns);
+    entry.value = std::move(value);
+    headers_.push_back(std::move(entry));
+  }
+
+  /// Builds the envelope for `calls` under headers_ into the channel's
+  /// scratch buffer (so steady-state calls reuse its capacity), lends it
+  /// to the request, and POSTs it. `action` names the SOAPAction
+  /// fragment: the operation, or "batch".
+  Result<http::Response> post_envelope(std::span<const soap::BatchCall> calls,
+                                       std::string_view action, bool batch) {
+    soap::build_batch_request_into(envelope_, service_ns_, calls, headers_);
+    http::Request request;
+    request.headers.set("Content-Type", "text/xml; charset=utf-8");
+    request.headers.set("SOAPAction", "\"" + service_ns_ + "#" + std::string(action) + "\"");
+    request.body = std::move(envelope_);
+    auto response = post(request, action, batch);
+    envelope_ = std::move(request.body);
+    return response;
+  }
+
   std::string service_ns_;
   std::string call_id_;
   std::string envelope_;  ///< reused request-envelope buffer
   std::vector<soap::HeaderEntry> headers_;  ///< reused header scratch
   std::vector<soap::BatchCall> batch_scratch_;  ///< reused batch-call views
-  CallStats stats_;
 };
 
-class HttpChannel final : public Channel {
+class HttpChannel final : public HttpPostChannel {
  public:
+  // stub, http client, socket, http server, dispatcher — SOAP's two XML
+  // codec entities are gone.
   HttpChannel(Transport& net, HostId from, Endpoint to)
-      : net_(net), from_(from), to_(std::move(to)) {}
+      : HttpPostChannel(net, from, std::move(to), 5,
+                        {"http", "http response", "http: status ", false}) {}
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
-
     http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
     request.headers.set("Content-Type", "application/octet-stream");
-    ByteBuffer frame = marshal_call(operation, params, call_id_);
-    request.body = frame.to_string();
-    ByteBuffer wire = request.serialize(to_.host);
-
-    // stub, http client, socket, http server, dispatcher — SOAP's two
-    // XML codec entities are gone.
-    stats_ = CallStats{.entities_traversed = 5,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) return raw.error().context("http call " + std::string(operation));
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) return response.error().context("http response");
-    if (response->status != 200) {
-      return err::unavailable("http: status " + std::to_string(response->status) + " " +
-                              response->reason);
-    }
-    // View the body in place — the reply frame was copied here before.
+    request.body = marshal_call(operation, params, call_id_).to_string();
+    auto response = post(request, operation, /*batch=*/false);
+    if (!response.ok()) return response.error();
+    // View the body in place: the reply frame is decoded without a copy.
     return unmarshal_reply(as_byte_span(response->body));
   }
 
   const char* binding_name() const override { return "http"; }
-  CallStats last_stats() const override { return stats_; }
   void set_call_id(std::string call_id) override { call_id_ = std::move(call_id); }
-  const Endpoint* remote() const override { return &to_; }
 
  private:
-  Transport& net_;
-  HostId from_;
-  Endpoint to_;
   std::string call_id_;
-  CallStats stats_;
 };
 
-class MimeChannel final : public Channel {
+class MimeChannel final : public HttpPostChannel {
  public:
+  // Same entity chain as SOAP (the envelope is still XML) — the win is
+  // wire bytes and codec CPU, not hop count. Any status carries a reply:
+  // faults travel as single-part envelopes.
   MimeChannel(Transport& net, HostId from, Endpoint to, std::string service_ns)
-      : net_(net), from_(from), to_(std::move(to)), service_ns_(std::move(service_ns)) {}
+      : HttpPostChannel(net, from, std::move(to), 6,
+                        {"mime", "mime http response", nullptr, true}),
+        service_ns_(std::move(service_ns)) {}
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
-
     auto multipart = soap::build_mime_request(operation, service_ns_, params);
     http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
     request.headers.set("Content-Type", multipart.content_type);
     request.body = multipart.body.to_string();
-    ByteBuffer wire = request.serialize(to_.host);
-
-    // Same entity chain as SOAP (the envelope is still XML) — the win is
-    // wire bytes and codec CPU, not hop count.
-    stats_ = CallStats{.entities_traversed = 6,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) return raw.error().context("mime call " + std::string(operation));
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) return response.error().context("mime http response");
+    auto response = post(request, operation, /*batch=*/false);
+    if (!response.ok()) return response.error();
     auto reply = soap::parse_mime_reply(response->headers.get_or("content-type", ""),
                                         as_byte_span(response->body));
     if (!reply.ok()) return reply.error();
-    if (reply->is_fault()) {
-      return Error(error_code_for_fault(reply->fault().code),
-                   "mime fault: " + reply->fault().describe());
-    }
-    return reply->value();
+    return to_result(std::move(*reply), "mime fault: ");
   }
 
   const char* binding_name() const override { return "mime"; }
-  CallStats last_stats() const override { return stats_; }
   // set_call_id stays the no-op default: the multipart request format has
   // no header slot for per-call metadata, so mime channels get retries
   // and breakers but not dedup (callers needing at-most-once pick another
   // binding).
-  const Endpoint* remote() const override { return &to_; }
 
  private:
-  Transport& net_;
-  HostId from_;
-  Endpoint to_;
   std::string service_ns_;
-  CallStats stats_;
 };
 
 }  // namespace
@@ -543,33 +501,15 @@ std::unique_ptr<Channel> make_soap_channel(Transport& net, HostId from,
 }
 
 Result<ServerHandle> serve_xdr(Transport& net, HostId host, std::uint16_t port,
-                               std::shared_ptr<Dispatcher> dispatcher) {
-  return serve_xdr(net, host, port, std::move(dispatcher), nullptr);
-}
-
-Result<ServerHandle> serve_xdr(Transport& net, HostId host, std::uint16_t port,
                                std::shared_ptr<Dispatcher> dispatcher,
                                std::shared_ptr<resil::DedupCache> dedup) {
   auto status = net.listen(
       host, port,
-      [&net, dispatcher, dedup](std::span<const std::uint8_t> raw) -> Result<ByteBuffer> {
-        if (is_batch_call(raw)) {
-          return serve_batch_frame(raw, *dispatcher, dedup.get(),
-                                   net.buffer_pool().acquire());
-        }
-        auto call = unmarshal_call(raw);
-        if (!call.ok()) {
-          return marshal_reply(call.error().context("xdr server"));
-        }
-        if (dedup && !call->call_id.empty()) {
-          if (auto cached = dedup->lookup(call->call_id)) return std::move(*cached);
-        }
-        ByteBuffer reply =
-            marshal_reply(dispatcher->dispatch(call->operation, call->params));
-        // Cache faults too: the dispatcher ran, and a duplicate must see
-        // the same outcome rather than a second execution.
-        if (dedup && !call->call_id.empty()) dedup->store(call->call_id, reply);
-        return reply;
+      [dispatcher, dedup](std::span<const std::uint8_t> raw) -> Result<ByteBuffer> {
+        // SockNet sends the reply and frees it on the reactor thread, so it
+        // starts fresh: a pooled buffer would carry memory the client
+        // thread allocated over to the reactor thread to free.
+        return serve_xdr_frame(raw, *dispatcher, dedup.get(), ByteBuffer{});
       });
   if (!status.ok()) return status.error();
   return ServerHandle(&net, host, port);
@@ -597,32 +537,26 @@ void SoapHttpServer::stop() {
 }
 
 Status SoapHttpServer::mount(std::string path, std::shared_ptr<Dispatcher> dispatcher) {
-  if (!path.empty() && path.front() == '/') path.erase(0, 1);
-  std::lock_guard lock(mounts_mu_);
-  if (mounts_.count(path)) {
-    return err::already_exists("soap server: path '/" + path + "' already mounted");
-  }
-  mounts_[std::move(path)] = Mount{std::move(dispatcher), MountKind::kSoap};
-  return Status::success();
+  return insert(std::move(path), Mount{std::move(dispatcher), MountKind::kSoap});
 }
 
 Status SoapHttpServer::mount_raw(std::string path, std::shared_ptr<Dispatcher> dispatcher) {
-  if (!path.empty() && path.front() == '/') path.erase(0, 1);
-  std::lock_guard lock(mounts_mu_);
-  if (mounts_.count(path)) {
-    return err::already_exists("http server: path '/" + path + "' already mounted");
-  }
-  mounts_[std::move(path)] = Mount{std::move(dispatcher), MountKind::kRaw};
-  return Status::success();
+  return insert(std::move(path), Mount{std::move(dispatcher), MountKind::kRaw});
 }
 
 Status SoapHttpServer::mount_mime(std::string path, std::shared_ptr<Dispatcher> dispatcher) {
+  return insert(std::move(path), Mount{std::move(dispatcher), MountKind::kMime});
+}
+
+Status SoapHttpServer::insert(std::string path, Mount mount) {
   if (!path.empty() && path.front() == '/') path.erase(0, 1);
   std::lock_guard lock(mounts_mu_);
   if (mounts_.count(path)) {
-    return err::already_exists("http server: path '/" + path + "' already mounted");
+    const char* server = mount.kind == MountKind::kSoap ? "soap server" : "http server";
+    return err::already_exists(std::string(server) + ": path '/" + path +
+                               "' already mounted");
   }
-  mounts_[std::move(path)] = Mount{std::move(dispatcher), MountKind::kMime};
+  mounts_[std::move(path)] = std::move(mount);
   return Status::success();
 }
 
@@ -648,15 +582,15 @@ void SoapHttpServer::set_dedup(std::shared_ptr<resil::DedupCache> dedup) {
 }
 
 Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
-  auto make_response = [](int status) {
+  auto make_response = [](int status, const char* content_type) {
     http::Response response;
     response.status = status;
     response.reason = std::string(http::reason_for(status));
-    response.headers.set("Content-Type", "text/xml; charset=utf-8");
+    response.headers.set("Content-Type", content_type);
     return response;
   };
   auto fault = [&](int status, const char* code, const std::string& message) {
-    http::Response response = make_response(status);
+    http::Response response = make_response(status, "text/xml; charset=utf-8");
     soap::build_fault_into(response.body, {code, message, ""});
     return response.serialize();
   };
@@ -707,51 +641,23 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
         reply = soap::build_mime_response(call->operation, call->service_ns, *result);
       }
     }
-    http::Response response;
-    response.status = status_code;
-    response.reason = std::string(http::reason_for(status_code));
-    response.headers.set("Content-Type", reply.content_type);
+    http::Response response = make_response(status_code, reply.content_type.c_str());
     response.body = reply.body.to_string();
     return response.serialize();
   }
 
   if (kind == MountKind::kRaw) {
-    // The http binding: XDR call frame in, XDR reply frame out; dispatch
-    // errors travel in-band inside the reply frame. The body is viewed in
-    // place — no per-request copy.
-    std::span<const std::uint8_t> body = as_byte_span(request->body);
-    if (is_batch_call(body)) {
-      ByteBuffer reply = serve_batch_frame(body, *dispatcher, dedup.get(),
-                                           net_.buffer_pool().acquire());
-      http::Response response;
-      response.status = 200;
-      response.reason = "OK";
-      response.headers.set("Content-Type", "application/octet-stream");
-      response.body = reply.to_string();
-      net_.buffer_pool().release(std::move(reply));
-      return response.serialize();
-    }
-    auto call = unmarshal_call(body);
-    if (call.ok() && dedup && !call->call_id.empty()) {
-      if (auto cached = dedup->lookup(call->call_id)) return std::move(*cached);
-    }
-    ByteBuffer reply =
-        call.ok() ? marshal_reply(dispatcher->dispatch(call->operation, call->params))
-                  : marshal_reply(Result<Value>(call.error()));
-    http::Response response;
-    response.status = 200;
-    response.reason = "OK";
-    response.headers.set("Content-Type", "application/octet-stream");
+    // The http binding: XDR frame in, XDR frame out, served exactly as
+    // serve_xdr serves it; dispatch errors travel in-band inside the
+    // reply frame. The body is viewed in place — no per-request copy.
+    ByteBuffer reply = serve_xdr_frame(as_byte_span(request->body), *dispatcher,
+                                       dedup.get(), net_.buffer_pool().acquire());
+    http::Response response = make_response(200, "application/octet-stream");
     response.body = reply.to_string();
-    ByteBuffer wire = response.serialize();
-    if (call.ok() && dedup && !call->call_id.empty()) dedup->store(call->call_id, wire);
-    return wire;
+    net_.buffer_pool().release(std::move(reply));
+    return response.serialize();
   }
 
-  // One batch-tolerant parse serves both shapes: a body with exactly one
-  // operation element and no BatchCount header is the classic singleton
-  // path (byte-identical responses); a BatchCount header selects batch
-  // dispatch over however many operation elements the body carries.
   auto call = soap::parse_batch_request(request->body);
   if (!call.ok()) {
     return fault(400, "Client", call.error().message());
@@ -779,84 +685,64 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     }
   }
 
-  if (batch_count.empty()) {
-    // Singleton path, unchanged semantics.
+  // No BatchCount header: a singleton, keyed by its CallId header, that
+  // must carry exactly one operation element and answers a fault with
+  // 500. A BatchCount header selects a batch, keyed per sub-call by
+  // BatchCallIds, that always answers 200.
+  const bool singleton = batch_count.empty();
+  std::vector<std::string_view> ids;
+  if (singleton) {
     if (call->calls.size() != 1) {
       return fault(400, "Client",
                    "soap: request Body must contain exactly one operation element");
     }
-    const soap::BatchRpcCall::Call& single = call->calls.front();
-    if (dedup && !call_id.empty()) {
-      if (auto cached = dedup->lookup(call_id)) return std::move(*cached);
+    ids.push_back(call_id);
+  } else {
+    std::size_t declared = 0;
+    for (char c : batch_count) {
+      if (c < '0' || c > '9') return fault(400, "Client", "soap: bad BatchCount header");
+      declared = declared * 10 + static_cast<std::size_t>(c - '0');
     }
-    // Name string only when it will be recorded (tracing is usually off).
-    obs::Span span;
-    if (net_.tracer().enabled()) {
-      span = net_.tracer().start_span("soap.serve." + single.operation, remote_parent);
-      if (span.active()) span.annotate("host=" + net_.host_name(host_));
+    if (declared != call->calls.size()) {
+      return fault(400, "Client",
+                   "soap: BatchCount " + batch_count + " != " +
+                       std::to_string(call->calls.size()) + " operation elements");
     }
-    auto result = dispatcher->dispatch(single.operation, single.params);
-    span.set_ok(result.ok());
-    span.finish();
-    ByteBuffer wire;
-    if (!result.ok()) {
-      wire = fault(500, fault_code_for(result.error().code()), result.error().message());
-    } else {
-      // Build the response envelope directly into the HTTP body: no
-      // intermediate envelope string to allocate and copy.
-      http::Response response = make_response(200);
-      soap::build_response_into(response.body, single.operation, call->service_ns,
-                                *result);
-      wire = response.serialize();
-    }
-    // Cache success and dispatch faults alike — the handler executed either
-    // way, and a duplicate must observe the same outcome.
-    if (dedup && !call_id.empty()) dedup->store(call_id, wire);
-    return wire;
-  }
-
-  // Batch path: sub-calls execute in order, each result (or fault) is one
-  // Body element of a single 200 response. Dedup works per sub-call: the
-  // cached unit is the response/fault XML FRAGMENT, spliced back into
-  // whatever batch a replayed id arrives in.
-  std::size_t declared = 0;
-  for (char c : batch_count) {
-    if (c < '0' || c > '9') return fault(400, "Client", "soap: bad BatchCount header");
-    declared = declared * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (declared != call->calls.size()) {
-    return fault(400, "Client",
-                 "soap: BatchCount " + batch_count + " != " +
-                     std::to_string(call->calls.size()) + " operation elements");
-  }
-  std::vector<std::string_view> ids;
-  if (!batch_ids.empty()) {
-    std::string_view rest = batch_ids;
-    while (true) {
-      std::size_t comma = rest.find(',');
-      ids.push_back(rest.substr(0, comma));
-      if (comma == std::string_view::npos) break;
-      rest.remove_prefix(comma + 1);
-    }
-    if (ids.size() != call->calls.size()) {
-      return fault(400, "Client", "soap: BatchCallIds count mismatch");
+    if (!batch_ids.empty()) {
+      std::string_view rest = batch_ids;
+      while (true) {
+        std::size_t comma = rest.find(',');
+        ids.push_back(rest.substr(0, comma));
+        if (comma == std::string_view::npos) break;
+        rest.remove_prefix(comma + 1);
+      }
+      if (ids.size() != call->calls.size()) {
+        return fault(400, "Client", "soap: BatchCallIds count mismatch");
+      }
     }
   }
 
-  http::Response response = make_response(200);
+  // Each operation element gets one Body element (opResponse or Fault),
+  // written straight into the response body. That element is the SOAP
+  // binding's cached unit: a replayed id splices it back into whatever
+  // envelope it arrives in.
+  http::Response response = make_response(200, "text/xml; charset=utf-8");
   soap::EnvelopeWriter writer(response.body);
   writer.envelope_open();
   writer.body_open();
-  std::string fragment;
+  std::size_t element_start = 0;
   for (std::size_t i = 0; i < call->calls.size(); ++i) {
     const soap::BatchRpcCall::Call& sub = call->calls[i];
     const std::string_view id = ids.empty() ? std::string_view{} : ids[i];
-    if (dedup && !id.empty()) {
+    const bool keyed = dedup && !id.empty();
+    element_start = response.body.size();
+    if (keyed) {
       if (auto cached = dedup->lookup(id)) {
         response.body.append(cached->as_string_view());
         continue;
       }
     }
+    // Name string only when it will be recorded (tracing is usually off).
     obs::Span span;
     if (net_.tracer().enabled()) {
       span = net_.tracer().start_span("soap.serve." + sub.operation, remote_parent);
@@ -865,21 +751,31 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     auto result = dispatcher->dispatch(sub.operation, sub.params);
     span.set_ok(result.ok());
     span.finish();
-    fragment.clear();
-    soap::EnvelopeWriter sub_writer(fragment);
     if (!result.ok()) {
-      sub_writer.fault({fault_code_for(result.error().code()),
-                        result.error().message(), ""});
+      writer.fault({fault_code_for(result.error().code()), result.error().message(), ""});
     } else {
-      sub_writer.call_open(sub.operation, call->service_ns, /*response=*/true);
-      sub_writer.param(*result, "return");
-      sub_writer.call_close(sub.operation, /*response=*/true);
+      response.body.reserve(element_start + 2 * sub.operation.size() +
+                            call->service_ns.size() +
+                            soap::EnvelopeWriter::estimate(*result, 6) + 64);
+      writer.call_open(sub.operation, call->service_ns, /*response=*/true);
+      writer.param(*result, "return");
+      writer.call_close(sub.operation, /*response=*/true);
     }
-    response.body += fragment;
-    if (dedup && !id.empty()) dedup->store(id, ByteBuffer(fragment));
+    // Cache success and dispatch faults alike — the handler executed
+    // either way, and a duplicate must observe the same outcome.
+    if (keyed) {
+      ByteBuffer element;
+      element.write_bytes(as_byte_span(response.body).subspan(element_start));
+      dedup->store(id, std::move(element));
+    }
   }
   writer.body_close();
   writer.envelope_close();
+  if (singleton &&
+      std::string_view(response.body).substr(element_start).starts_with("<SOAP-ENV:Fault>")) {
+    response.status = 500;
+    response.reason = std::string(http::reason_for(500));
+  }
   return response.serialize();
 }
 

@@ -154,8 +154,7 @@ std::unique_ptr<Channel> make_mime_channel(Transport& net, HostId from,
 
 // ---- servers ----------------------------------------------------------------
 
-/// Binds an XDR frame server for `dispatcher` at (host, port).
-/// The returned handle unbinds on destruction.
+/// A bound server port; unbinds on destruction.
 class ServerHandle {
  public:
   ServerHandle(Transport* net, HostId host, std::uint16_t port)
@@ -195,15 +194,14 @@ class ServerHandle {
   std::uint16_t port_;
 };
 
-Result<ServerHandle> serve_xdr(Transport& net, HostId host, std::uint16_t port,
-                               std::shared_ptr<Dispatcher> dispatcher);
-
-/// As above, but duplicate calls (same "H2RC" call id) are answered from
-/// `dedup` instead of re-executing the dispatcher — the server half of
-/// the resilience layer's at-most-once guarantee.
+/// Binds an XDR frame server for `dispatcher` at (host, port), serving
+/// singleton and "H2RB" batch frames. With `dedup`, calls carrying an
+/// "H2RC" call id already seen are answered from the cache instead of
+/// re-executing the dispatcher — the server half of the resilience
+/// layer's at-most-once guarantee.
 Result<ServerHandle> serve_xdr(Transport& net, HostId host, std::uint16_t port,
                                std::shared_ptr<Dispatcher> dispatcher,
-                               std::shared_ptr<resil::DedupCache> dedup);
+                               std::shared_ptr<resil::DedupCache> dedup = nullptr);
 
 /// An HTTP server hosting SOAP services at paths ("/time", "/mm", ...).
 /// One per (host, port); services mount and unmount dynamically — this is
@@ -235,10 +233,13 @@ class SoapHttpServer {
   Status unmount(std::string_view path);
   std::size_t mounted_count() const;
 
-  /// Enables at-most-once execution for the soap and raw mounts: requests
+  /// Enables at-most-once execution for the soap and raw mounts: calls
   /// carrying a CallId (SOAP header / "H2RC" frame) already seen in
-  /// `dedup` are answered with the cached serialized response instead of
-  /// dispatching again. Pass nullptr to disable.
+  /// `dedup` are answered from the cache instead of dispatching again.
+  /// The cached unit is per call, not per HTTP response — the SOAP Body
+  /// element (opResponse or Fault) or the "H2RP" reply frame — so a
+  /// replay is correct whichever shape, singleton or batch, the id
+  /// arrives in. Pass nullptr to disable.
   void set_dedup(std::shared_ptr<resil::DedupCache> dedup);
 
   /// Declares a SOAP header (by local name) as understood by this server.
@@ -255,6 +256,7 @@ class SoapHttpServer {
     MountKind kind = MountKind::kSoap;
   };
 
+  Status insert(std::string path, Mount mount);
   Result<ByteBuffer> handle(std::span<const std::uint8_t> raw);
 
   Transport& net_;

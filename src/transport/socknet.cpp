@@ -17,7 +17,7 @@ SockNet::SockNet(SockFamily family, std::size_t reactors)
         std::make_unique<loop::EventLoop>("socknet/r" + std::to_string(i)));
     drivers_.push_back(std::make_unique<loop::EpollDriver>(*loops_.back()));
     muxes_.push_back(
-        std::make_unique<sock::ConnMux>(buffer_pool_, loops_.back().get()));
+        std::make_unique<sock::ConnMux>(buffer_pool_, *loops_.back()));
     // Immediate error-event teardowns surface on the shared metric the
     // moment they happen — breakers and dashboards see a dead peer
     // without waiting for a client timeout.
@@ -181,13 +181,8 @@ Result<ByteBuffer> SockNet::exchange(int fd, std::span<const std::uint8_t> reque
                                      bool xdr_framed, bool* reply_started) {
   Status written = Status::success();
   if (xdr_framed) {
-    std::uint8_t prefix[4] = {
-        static_cast<std::uint8_t>(request.size() >> 24),
-        static_cast<std::uint8_t>(request.size() >> 16),
-        static_cast<std::uint8_t>(request.size() >> 8),
-        static_cast<std::uint8_t>(request.size()),
-    };
-    written = sock::write_all(fd, {prefix, 4}, request);
+    const auto prefix = sock::frame_prefix(request.size());
+    written = sock::write_all(fd, prefix, request);
   } else {
     written = sock::write_all(fd, request);
   }

@@ -1,6 +1,6 @@
 // EpollDriver tests — the threaded reactor path. These run under the
-// tsan preset too: cross-thread post storms, run_sync rendezvous, and
-// offload handoffs are exactly where a data race would hide.
+// tsan preset too: cross-thread post storms and run_sync rendezvous are
+// exactly where a data race would hide.
 #include "loop/epoll_driver.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "loop/event_loop.hpp"
-#include "util/thread_pool.hpp"
 
 namespace h2::loop {
 namespace {
@@ -191,27 +190,6 @@ TEST(EpollDriver, PeerCloseDeliversHangupImmediately) {
   ASSERT_TRUE(loop.unwatch_fd(sv[0]).ok());
   driver.stop();
   ::close(sv[0]);
-}
-
-TEST(EpollDriver, OffloadRunsOnPoolAndCompletesOnLoop) {
-  ThreadPool pool(2);
-  EventLoop loop("t");
-  EpollDriver driver(loop, &pool);
-  ASSERT_TRUE(driver.ok());
-
-  std::atomic<bool> work_on_loop{true};
-  std::atomic<bool> done_on_loop{false};
-  std::atomic<bool> finished{false};
-  loop.offload(
-      [&] { work_on_loop.store(loop.is_current()); },
-      [&] {
-        done_on_loop.store(loop.is_current());
-        finished.store(true);
-      });
-  ASSERT_TRUE(wait_for([&] { return finished.load(); }));
-  EXPECT_FALSE(work_on_loop.load());  // plugin work stayed off the reactor
-  EXPECT_TRUE(done_on_loop.load());   // completion bounced back to the loop
-  driver.stop();
 }
 
 TEST(EpollDriver, TwoLoopsPingPong) {

@@ -65,12 +65,11 @@ TEST(EventLoopEager, NestedDispatchStaysInline) {
   EXPECT_EQ(loop.stats().inline_runs, 2u);
 }
 
-TEST(EventLoopEager, RunSyncAndOffloadRunInline) {
+TEST(EventLoopEager, RunSyncRunsInline) {
   EventLoop loop("t");
   int ran = 0;
   loop.run_sync([&] { ++ran; });
-  loop.offload([&] { ++ran; }, [&] { ++ran; });
-  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(ran, 1);
 }
 
 TEST(EventLoopEager, TimersFireViaFireTimers) {

@@ -14,6 +14,11 @@
 # the exact replay command; a non-zero simrunner exit fails the whole
 # sweep.
 #
+# Before the sweep it writes $BUILD_DIR/sim_trace_digests.txt: one
+# "sha256  scenario" line per `simrunner --list` scenario, hashing the
+# --trace output of seeds 1..20. Two builds' traces are byte-identical
+# exactly when `diff` finds their digest files equal.
+#
 # Usage: tests/run_sim.sh [build-dir] [seeds]
 #   build-dir  defaults to ./build
 #   seeds      seeds per scenario, defaults to 100 (seed 1..seeds)
@@ -38,6 +43,16 @@ ctest --test-dir "$BUILD_DIR" -L shard --output-on-failure
 
 echo "== ctest -L loop =="
 ctest --test-dir "$BUILD_DIR" -L loop --output-on-failure
+
+echo "== trace digests: every scenario, seeds 1..20 =="
+DIGESTS="$BUILD_DIR/sim_trace_digests.txt"
+: > "$DIGESTS"
+for scenario in $("$BUILD_DIR/src/sim/simrunner" --list | cut -d' ' -f1); do
+  digest=$("$BUILD_DIR/src/sim/simrunner" --scenario="$scenario" --seed=1 --seeds=20 \
+    --trace | sha256sum | cut -d' ' -f1)
+  echo "$digest  $scenario" >> "$DIGESTS"
+done
+echo "   $(wc -l < "$DIGESTS") scenarios: $DIGESTS"
 
 echo "== simrunner sweep: all scenarios, seeds 1..$SEEDS =="
 SWEEP_LOG="$BUILD_DIR/sim_sweep.log"

@@ -7,14 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <set>
-#include <thread>
+#include <functional>
 
 #include "resilience/dedup.hpp"
+#include "transport/http.hpp"
 #include "transport/marshal.hpp"
 #include "transport/rpc.hpp"
 #include "util/buffer_pool.hpp"
-#include "util/uuid.hpp"
 
 namespace h2::net {
 namespace {
@@ -392,6 +391,101 @@ TEST_F(BatchRpcTest, TransportErrorFillsEveryPendingResult) {
   EXPECT_EQ(batch->take(t2).error().code(), ErrorCode::kUnavailable);
 }
 
+// ---- one cached unit per binding -------------------------------------------
+// One DedupCache behind every binding, as Container wires it. A call id
+// replayed in the other shape (singleton <-> batch) must get the first
+// execution's value back without running the handler again: XDR and raw
+// HTTP cache the "H2RP" reply frame, SOAP caches the Body element.
+
+class CrossShapeDedupTest : public BatchRpcTest {
+ protected:
+  using Send = std::function<Result<Value>(bool batch, const std::string& id)>;
+
+  void SetUp() override {
+    BatchRpcTest::SetUp();
+    auto xdr = serve_xdr(net_, server_, 9001, service_, dedup_);
+    ASSERT_TRUE(xdr.ok());
+    xdr_ = std::make_unique<ServerHandle>(std::move(*xdr));
+    http_ = std::make_unique<SoapHttpServer>(net_, server_, 8080);
+    ASSERT_TRUE(http_->start().ok());
+    ASSERT_TRUE(http_->mount("svc", service_).ok());
+    ASSERT_TRUE(http_->mount_raw("raw", service_).ok());
+    http_->set_dedup(dedup_);
+  }
+
+  /// Sends one add(5) under `id` through `channel`: invoke() for the
+  /// singleton shape, a one-call invoke_batch() for the batch shape.
+  static Result<Value> send_on(Channel& channel, bool batch, const std::string& id) {
+    const Value n = Value::of_int(5, "n");
+    if (!batch) {
+      channel.set_call_id(id);
+      return channel.invoke("add", {&n, 1});
+    }
+    std::vector<BatchItem> items{BatchItem{"add", {n}, id}};
+    std::vector<Result<Value>> results;
+    if (auto status = channel.invoke_batch(items, results); !status.ok()) {
+      return status.error();
+    }
+    return results.at(0);
+  }
+
+  /// Sends an id in one shape, then in the other, for both orders.
+  void expect_cross_shape_replay(const Send& send) {
+    for (bool batch_first : {false, true}) {
+      SCOPED_TRACE(batch_first ? "batch, then singleton" : "singleton, then batch");
+      executions_ = 0;
+      const std::string id = batch_first ? "batch-first" : "singleton-first";
+      auto first = send(batch_first, id);
+      ASSERT_TRUE(first.ok()) << first.error().describe();
+      auto replay = send(!batch_first, id);
+      ASSERT_TRUE(replay.ok()) << replay.error().describe();
+      auto replayed = replay->as_int();
+      ASSERT_TRUE(replayed.ok()) << replayed.error().describe();
+      EXPECT_EQ(*replayed, *first->as_int());
+      EXPECT_EQ(executions_, 1);
+    }
+  }
+
+  std::shared_ptr<resil::DedupCache> dedup_ = std::make_shared<resil::DedupCache>();
+  std::unique_ptr<ServerHandle> xdr_;
+  std::unique_ptr<SoapHttpServer> http_;
+};
+
+TEST_F(CrossShapeDedupTest, XdrReplaysAcrossShapes) {
+  auto channel = make_xdr_channel(net_, client_, *Endpoint::parse("xdr://server:9001"));
+  expect_cross_shape_replay(
+      [&](bool batch, const std::string& id) { return send_on(*channel, batch, id); });
+}
+
+TEST_F(CrossShapeDedupTest, SoapReplaysAcrossShapes) {
+  auto channel = make_soap_channel(net_, client_,
+                                   *Endpoint::parse("http://server:8080/svc"), "urn:test");
+  expect_cross_shape_replay(
+      [&](bool batch, const std::string& id) { return send_on(*channel, batch, id); });
+}
+
+TEST_F(CrossShapeDedupTest, RawHttpReplaysAcrossShapes) {
+  // The http channel has no batch framing, so the batch shape is an
+  // "H2RB" frame POSTed to the raw mount by hand.
+  auto channel = make_http_channel(net_, client_, *Endpoint::parse("http://server:8080/raw"));
+  expect_cross_shape_replay([&](bool batch, const std::string& id) -> Result<Value> {
+    if (!batch) return send_on(*channel, batch, id);
+    std::vector<BatchItem> items{BatchItem{"add", {Value::of_int(5, "n")}, id}};
+    http::Request request;
+    request.target = "/raw";
+    request.headers.set("Content-Type", "application/octet-stream");
+    request.body = marshal_batch_call(items).to_string();
+    auto raw = net_.call(client_, server_, 8080, request.serialize("server").bytes());
+    if (!raw.ok()) return raw.error();
+    auto response = http::parse_response(raw->bytes());
+    if (!response.ok()) return response.error();
+    auto frames = split_batch_reply(as_byte_span(response->body));
+    if (!frames.ok()) return frames.error();
+    if (frames->size() != 1) return err::parse("expected one sub-reply");
+    return unmarshal_reply(frames->front());
+  });
+}
+
 // ---- satellites -------------------------------------------------------------
 
 TEST(ByteBufferPoolTest, RecyclesBuffersUpToBound) {
@@ -408,24 +502,6 @@ TEST(ByteBufferPoolTest, RecyclesBuffersUpToBound) {
   pool.release(ByteBuffer{});
   pool.release(ByteBuffer{});  // over the bound: dropped, not pooled
   EXPECT_EQ(pool.pooled(), 2u);
-}
-
-TEST(UuidThreadingTest, ThreadLocalGeneratorsProduceDistinctIds) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 256;
-  std::vector<std::vector<std::string>> per_thread(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&per_thread, t] {
-      per_thread[t].reserve(kPerThread);
-      for (int i = 0; i < kPerThread; ++i) per_thread[t].push_back(new_uuid());
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  std::set<std::string> all;
-  for (const auto& ids : per_thread) all.insert(ids.begin(), ids.end());
-  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kPerThread));
 }
 
 }  // namespace

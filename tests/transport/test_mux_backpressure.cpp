@@ -9,11 +9,11 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "loop/epoll_driver.hpp"
 #include "transport/mux.hpp"
 #include "transport/tcp.hpp"
 #include "util/buffer_pool.hpp"
@@ -25,13 +25,9 @@ constexpr Nanos kIoTimeout = 5ULL * 1000 * 1000 * 1000;  // 5s; CI-safe
 
 /// One length-framed XDR request: 4-byte big-endian prefix + payload.
 std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out(4 + payload.size());
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  out[0] = static_cast<std::uint8_t>(n >> 24);
-  out[1] = static_cast<std::uint8_t>(n >> 16);
-  out[2] = static_cast<std::uint8_t>(n >> 8);
-  out[3] = static_cast<std::uint8_t>(n);
-  std::memcpy(out.data() + 4, payload.data(), payload.size());
+  const auto prefix = frame_prefix(payload.size());
+  std::vector<std::uint8_t> out(prefix.begin(), prefix.end());
+  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
@@ -81,7 +77,9 @@ class MuxBackpressureTest : public ::testing::Test {
   /// Serves replies of `reply_bytes`, first byte echoing the request's
   /// first byte so the client can verify reply order.
   void start(std::size_t reply_bytes) {
-    mux_ = std::make_unique<ConnMux>(pool_);
+    driver_ = std::make_unique<loop::EpollDriver>(loop_);
+    ASSERT_TRUE(driver_->ok());
+    mux_ = std::make_unique<ConnMux>(pool_, loop_);
     mux_->set_conn_down(down_.hook());
     SockAddr addr;  // TCP, kernel-assigned port
     auto listener = listen_on(addr);
@@ -101,9 +99,12 @@ class MuxBackpressureTest : public ::testing::Test {
 
   void TearDown() override {
     if (mux_) mux_->shutdown();
+    if (driver_) driver_->stop();
   }
 
   ByteBufferPool pool_;
+  loop::EventLoop loop_{"mux-test"};
+  std::unique_ptr<loop::EpollDriver> driver_;
   std::unique_ptr<ConnMux> mux_;
   SockAddr addr_;
   DownWatcher down_;

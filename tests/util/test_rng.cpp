@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "util/rng.hpp"
-#include "util/uuid.hpp"
 
 namespace h2 {
 namespace {
@@ -78,40 +75,6 @@ TEST(Rng, BytesGeneratorSizeExact) {
   for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 1000u}) {
     EXPECT_EQ(rng.bytes(n).size(), n);
   }
-}
-
-TEST(Uuid, FormatShape) {
-  UuidGenerator gen(1);
-  auto id = gen.next();
-  ASSERT_EQ(id.size(), 36u);
-  EXPECT_EQ(id[8], '-');
-  EXPECT_EQ(id[13], '-');
-  EXPECT_EQ(id[18], '-');
-  EXPECT_EQ(id[23], '-');
-  EXPECT_EQ(id[14], '4');  // version nibble
-  char variant = id[19];
-  EXPECT_TRUE(variant == '8' || variant == '9' || variant == 'a' || variant == 'b');
-}
-
-TEST(Uuid, SeededDeterministic) {
-  UuidGenerator a(99), b(99);
-  EXPECT_EQ(a.next(), b.next());
-  EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(Uuid, ManyUnique) {
-  UuidGenerator gen(5);
-  std::set<std::string> seen;
-  for (int i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(seen.insert(gen.next()).second);
-  }
-}
-
-TEST(Uuid, GlobalGeneratorWorks) {
-  auto a = new_uuid();
-  auto b = new_uuid();
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a.size(), 36u);
 }
 
 }  // namespace
