@@ -192,7 +192,9 @@ struct Cluster {
       (void)dvm->add_node(*containers.back());
     }
     for (std::size_t i = 0; i < kStormKeys; ++i) {
-      keys.push_back("k" + std::to_string(i));
+      std::string key = "k";
+      key += std::to_string(i);
+      keys.push_back(std::move(key));
     }
     for (const std::string& key : keys) {
       writes.push_back({key, "v"});

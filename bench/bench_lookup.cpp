@@ -28,7 +28,9 @@ struct World {
 
   World(int strategy_index, std::size_t node_count) {
     for (std::size_t i = 0; i < node_count; ++i) {
-      auto host = net.add_host("n" + std::to_string(i));
+      std::string name = "n";
+      name += std::to_string(i);
+      auto host = net.add_host(name);
       nodes.push_back(std::make_unique<h2::reg::RegistryNode>(net, *host, net.clock()));
       (void)nodes.back()->start();
       raw.push_back(nodes.back().get());

@@ -131,7 +131,8 @@ struct MpiWorld {
     (void)h2::plugins::register_standard_plugins(repo);
     std::string csv;
     for (std::size_t i = 0; i < ranks; ++i) {
-      std::string name = "r" + std::to_string(i);
+      std::string name = "r";
+      name += std::to_string(i);
       csv += (i ? "," : "") + name;
       auto host = net.add_host(name);
       kernels.push_back(std::make_unique<h2::kernel::Kernel>(name, repo, net, *host));

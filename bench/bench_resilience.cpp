@@ -187,7 +187,9 @@ void BM_FailoverXdrCall(benchmark::State& state) {
   (void)channel.invoke("add", params);  // resolve + pin the replica once
   std::uint64_t n = 0;
   for (auto _ : state) {
-    const std::vector<Value> call{Value::of_string("b" + std::to_string(n++), "id"),
+    std::string id = "b";
+    id += std::to_string(n++);
+    const std::vector<Value> call{Value::of_string(std::move(id), "id"),
                                   Value::of_int(1, "delta")};
     auto result = channel.invoke("add", call);
     if (!result.ok()) {

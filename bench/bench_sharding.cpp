@@ -77,7 +77,8 @@ struct Cluster {
     (void)plugins::register_standard_plugins(repo);
     dvm = std::make_unique<dvm::Dvm>("bench", std::move(protocol));
     for (std::size_t i = 0; i < nodes; ++i) {
-      std::string name = "n" + std::to_string(i);
+      std::string name = "n";
+      name += std::to_string(i);
       auto host = *net.add_host(name);
       containers.push_back(
           std::make_unique<container::Container>(name, repo, net, host));
@@ -95,7 +96,9 @@ struct Cluster {
     for (std::size_t i = 0; i < writes; ++i) {
       const auto& origin = containers[rng.next_below(containers.size())]->name();
       std::string key = "bench/key-" + std::to_string(i);
-      if (!dvm->set(origin, key, "v" + std::to_string(i)).ok()) {
+      std::string value = "v";
+      value += std::to_string(i);
+      if (!dvm->set(origin, key, value).ok()) {
         std::fprintf(stderr, "set %s from %s failed\n", key.c_str(), origin.c_str());
         std::exit(1);
       }

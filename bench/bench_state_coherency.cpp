@@ -50,7 +50,8 @@ struct World {
     (void)h2::plugins::register_standard_plugins(repo);
     dvm = std::make_unique<h2::dvm::Dvm>("bench", make_protocol(protocol));
     for (std::size_t i = 0; i < nodes; ++i) {
-      std::string name = "n" + std::to_string(i);
+      std::string name = "n";
+      name += std::to_string(i);
       auto host = net.add_host(name);
       containers.push_back(
           std::make_unique<h2::container::Container>(name, repo, net, *host));

@@ -19,6 +19,30 @@ std::vector<KV> coalesce_writes(std::span<const KV> writes) {
 
 namespace {
 
+/// A local read, else "a distributed query spanning across the DVM": the
+/// first member that holds the key answers. Decentralized and
+/// neighborhood reads share it.
+Result<std::string> query_anywhere(std::span<DvmNode* const> members, std::size_t origin,
+                                   std::string_view key) {
+  if (auto value = members[origin]->state().get(key); value.has_value()) {
+    return *value;
+  }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i == origin) continue;
+    auto value = members[origin]->remote_get(*members[i], key);
+    if (value.ok()) return value;
+    if (value.error().code() != ErrorCode::kNotFound) return value.error();
+  }
+  return err::not_found("state: no key '" + std::string(key) + "' anywhere");
+}
+
+/// The origin's own copy of a coalesced write storm.
+void apply_local(DvmNode& origin, std::span<const KV> writes) {
+  for (const KV& kv : writes) {
+    origin.state().set(std::string(kv.key), std::string(kv.value));
+  }
+}
+
 class FullSynchrony : public CoherencyProtocol {
  public:
   const char* name() const override { return "full-synchrony"; }
@@ -26,34 +50,20 @@ class FullSynchrony : public CoherencyProtocol {
   Status update(std::span<DvmNode* const> members, std::size_t origin,
                 std::string_view key, std::string_view value) override {
     members[origin]->state().set(std::string(key), std::string(value));
-    std::size_t fan_out = replication_cutoff(members.size());
-    for (std::size_t i = 0; i < fan_out; ++i) {
-      if (i == origin) continue;
-      if (auto status = members[origin]->remote_set(*members[i], key, value);
-          !status.ok()) {
-        return status.error().context("full-synchrony replication to " +
-                                      members[i]->name());
-      }
-    }
-    return Status::success();
+    return fan_out(members, origin, "full-synchrony replication to ",
+                   [&](DvmNode& from, DvmNode& to) {
+                     return from.remote_set(to, key, value);
+                   });
   }
 
   Status update_batch(std::span<DvmNode* const> members, std::size_t origin,
                       std::span<const KV> writes) override {
     const std::vector<KV> coalesced = coalesce_writes(writes);
-    for (const KV& kv : coalesced) {
-      members[origin]->state().set(std::string(kv.key), std::string(kv.value));
-    }
-    std::size_t fan_out = replication_cutoff(members.size());
-    for (std::size_t i = 0; i < fan_out; ++i) {
-      if (i == origin) continue;
-      if (auto status = members[origin]->remote_set_batch(*members[i], coalesced);
-          !status.ok()) {
-        return status.error().context("full-synchrony batch replication to " +
-                                      members[i]->name());
-      }
-    }
-    return Status::success();
+    apply_local(*members[origin], coalesced);
+    return fan_out(members, origin, "full-synchrony batch replication to ",
+                   [&](DvmNode& from, DvmNode& to) {
+                     return from.remote_set_batch(to, coalesced);
+                   });
   }
 
   Result<std::string> query(std::span<DvmNode* const> members, std::size_t origin,
@@ -100,6 +110,23 @@ class FullSynchrony : public CoherencyProtocol {
   virtual std::size_t replication_cutoff(std::size_t member_count) const {
     return member_count;
   }
+
+ private:
+  /// The one write fan-out behind update and update_batch: `send` the
+  /// writes from the origin to every covered member in the caller's wire
+  /// shape; the first failed leg fails the update.
+  template <typename Send>
+  Status fan_out(std::span<DvmNode* const> members, std::size_t origin,
+                 std::string_view context, Send send) {
+    const std::size_t covered = replication_cutoff(members.size());
+    for (std::size_t i = 0; i < covered; ++i) {
+      if (i == origin) continue;
+      if (auto status = send(*members[origin], *members[i]); !status.ok()) {
+        return status.error().context(std::string(context) + members[i]->name());
+      }
+    }
+    return Status::success();
+  }
 };
 
 /// TEST ONLY — see make_full_synchrony_buggy_for_test().
@@ -124,18 +151,7 @@ class Decentralized final : public CoherencyProtocol {
 
   Result<std::string> query(std::span<DvmNode* const> members, std::size_t origin,
                             std::string_view key) override {
-    if (auto value = members[origin]->state().get(key); value.has_value()) {
-      return *value;
-    }
-    // "Every request for state information triggers a distributed query
-    // spanning across the DVM."
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i == origin) continue;
-      auto value = members[origin]->remote_get(*members[i], key);
-      if (value.ok()) return value;
-      if (value.error().code() != ErrorCode::kNotFound) return value.error();
-    }
-    return err::not_found("state: no key '" + std::string(key) + "' anywhere");
+    return query_anywhere(members, origin, key);
   }
 
   Status erase(std::span<DvmNode* const> members, std::size_t origin,
@@ -154,60 +170,50 @@ class Neighborhood final : public CoherencyProtocol {
   Status update(std::span<DvmNode* const> members, std::size_t origin,
                 std::string_view key, std::string_view value) override {
     members[origin]->state().set(std::string(key), std::string(value));
-    for (std::size_t step = 1; step <= k_ && step < members.size(); ++step) {
-      std::size_t neighbor = (origin + step) % members.size();
-      if (auto status = members[origin]->remote_set(*members[neighbor], key, value);
-          !status.ok()) {
-        return status.error().context("neighborhood replication");
-      }
-    }
-    return Status::success();
+    return fan_out(members, origin, "neighborhood replication",
+                   [&](DvmNode& from, DvmNode& to) {
+                     return from.remote_set(to, key, value);
+                   });
   }
 
   Status update_batch(std::span<DvmNode* const> members, std::size_t origin,
                       std::span<const KV> writes) override {
     const std::vector<KV> coalesced = coalesce_writes(writes);
-    for (const KV& kv : coalesced) {
-      members[origin]->state().set(std::string(kv.key), std::string(kv.value));
-    }
-    for (std::size_t step = 1; step <= k_ && step < members.size(); ++step) {
-      std::size_t neighbor = (origin + step) % members.size();
-      if (auto status = members[origin]->remote_set_batch(*members[neighbor], coalesced);
-          !status.ok()) {
-        return status.error().context("neighborhood batch replication");
-      }
-    }
-    return Status::success();
+    apply_local(*members[origin], coalesced);
+    return fan_out(members, origin, "neighborhood batch replication",
+                   [&](DvmNode& from, DvmNode& to) {
+                     return from.remote_set_batch(to, coalesced);
+                   });
   }
 
   Result<std::string> query(std::span<DvmNode* const> members, std::size_t origin,
                             std::string_view key) override {
-    if (auto value = members[origin]->state().get(key); value.has_value()) {
-      return *value;
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i == origin) continue;
-      auto value = members[origin]->remote_get(*members[i], key);
-      if (value.ok()) return value;
-      if (value.error().code() != ErrorCode::kNotFound) return value.error();
-    }
-    return err::not_found("state: no key '" + std::string(key) + "' anywhere");
+    return query_anywhere(members, origin, key);
   }
 
   Status erase(std::span<DvmNode* const> members, std::size_t origin,
                std::string_view key) override {
     members[origin]->state().erase(key);
+    return fan_out(members, origin, "neighborhood erase",
+                   [&](DvmNode& from, DvmNode& to) { return from.remote_del(to, key); });
+  }
+
+ private:
+  /// The one neighborhood fan-out behind update, update_batch and erase:
+  /// `send` to the k ring successors of the origin in the caller's wire
+  /// shape; the first failed leg fails the call.
+  template <typename Send>
+  Status fan_out(std::span<DvmNode* const> members, std::size_t origin,
+                 std::string_view context, Send send) {
     for (std::size_t step = 1; step <= k_ && step < members.size(); ++step) {
       std::size_t neighbor = (origin + step) % members.size();
-      if (auto status = members[origin]->remote_del(*members[neighbor], key);
-          !status.ok()) {
-        return status.error().context("neighborhood erase");
+      if (auto status = send(*members[origin], *members[neighbor]); !status.ok()) {
+        return status.error().context(context);
       }
     }
     return Status::success();
   }
 
- private:
   std::size_t k_;
 };
 

@@ -59,7 +59,10 @@ class CoherencyProtocol {
   /// keeps exact update() semantics — one call per write. Replicating
   /// protocols override it to send each destination ONE batched message
   /// carrying the last-written value per key (first-write order), cutting
-  /// an N-write storm from N×M messages to M.
+  /// an N-write storm from N×M messages to M. Each such protocol keeps ONE
+  /// write fan-out behind update() and update_batch(); the two differ only
+  /// in the send step they pass it (a singleton frame per write, or one
+  /// batch frame per destination, even for a batch of one).
   virtual Status update_batch(std::span<DvmNode* const> members, std::size_t origin,
                               std::span<const KV> writes) {
     for (const KV& kv : writes) {

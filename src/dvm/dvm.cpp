@@ -229,7 +229,12 @@ std::vector<const DvmNode*> Dvm::all_members() const {
   return out;
 }
 
-void Dvm::record_round(net::SimNetwork& net, std::uint64_t messages_before, Nanos t0) {
+template <typename Round>
+auto Dvm::measured(DvmNode& at, Round round) {
+  net::SimNetwork& net = at.network();
+  const std::uint64_t messages_before = net.stats().messages;
+  const Nanos t0 = net.clock().now();
+  auto outcome = round();
   if (metrics_net_ != &net) {
     metrics_net_ = &net;
     const std::string prefix = "h2.dvm." + name_ + ".coherency.";
@@ -240,6 +245,7 @@ void Dvm::record_round(net::SimNetwork& net, std::uint64_t messages_before, Nano
   c_rounds_->add();
   c_fanout_->add(net.stats().messages - messages_before);
   h_convergence_->observe(net.clock().now() - t0);
+  return outcome;
 }
 
 Status Dvm::set(std::string_view node_name, std::string_view key,
@@ -247,48 +253,30 @@ Status Dvm::set(std::string_view node_name, std::string_view key,
   auto index = alive_index(node_name);
   if (!index.ok()) return index.error();
   auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto status = protocol_->update(alive, *index, key, value);
-  record_round(net, before, t0);
-  return status;
+  return measured(*alive[*index],
+                  [&] { return protocol_->update(alive, *index, key, value); });
 }
 
 Status Dvm::set_batch(std::string_view node_name, std::span<const KV> writes) {
   auto index = alive_index(node_name);
   if (!index.ok()) return index.error();
   auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto status = protocol_->update_batch(alive, *index, writes);
-  record_round(net, before, t0);
-  return status;
+  return measured(*alive[*index],
+                  [&] { return protocol_->update_batch(alive, *index, writes); });
 }
 
 Result<std::string> Dvm::get(std::string_view node_name, std::string_view key) {
   auto index = alive_index(node_name);
   if (!index.ok()) return index.error();
   auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto value = protocol_->query(alive, *index, key);
-  record_round(net, before, t0);
-  return value;
+  return measured(*alive[*index], [&] { return protocol_->query(alive, *index, key); });
 }
 
 Status Dvm::erase(std::string_view node_name, std::string_view key) {
   auto index = alive_index(node_name);
   if (!index.ok()) return index.error();
   auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto status = protocol_->erase(alive, *index, key);
-  record_round(net, before, t0);
-  return status;
+  return measured(*alive[*index], [&] { return protocol_->erase(alive, *index, key); });
 }
 
 void Dvm::post_anti_entropy(AntiEntropyCompletion done) {
@@ -309,12 +297,7 @@ loop::TimerId Dvm::start_anti_entropy(
 Result<AntiEntropyReport> Dvm::anti_entropy_now() {
   auto alive = alive_members();
   if (alive.empty()) return AntiEntropyReport{};
-  net::SimNetwork& net = alive.front()->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto report = protocol_->anti_entropy(alive);
-  record_round(net, before, t0);
-  return report;
+  return measured(*alive.front(), [&] { return protocol_->anti_entropy(alive); });
 }
 
 void Dvm::post_hint_replay(HintReplayCompletion done) {
@@ -335,12 +318,7 @@ loop::TimerId Dvm::start_hint_replay(
 Result<HintReplayReport> Dvm::hint_replay_now() {
   auto alive = alive_members();
   if (alive.empty()) return HintReplayReport{};
-  net::SimNetwork& net = alive.front()->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto report = protocol_->replay_hints(alive);
-  record_round(net, before, t0);
-  return report;
+  return measured(*alive.front(), [&] { return protocol_->replay_hints(alive); });
 }
 
 Result<std::string> Dvm::deploy(std::string_view node_name, std::string_view plugin,

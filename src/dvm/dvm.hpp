@@ -221,10 +221,12 @@ class Dvm {
   Result<HintReplayReport> hint_replay_now();
   void announce(std::string_view topic, const std::string& message);
   DvmNode* lookup_alive(std::string_view node_name);
-  /// Records one coherency round (h2.dvm.<name>.coherency.*): round count,
-  /// message fan-out (net-stats delta across the protocol call) and
-  /// convergence time (virtual ns the round consumed).
-  void record_round(net::SimNetwork& net, std::uint64_t messages_before, Nanos t0);
+  /// Runs `round()` — one protocol call issued at `at` — as one measured
+  /// coherency round (h2.dvm.<name>.coherency.*): round count, message
+  /// fan-out (net-stats delta across the call) and convergence time
+  /// (virtual ns the round consumed). Returns what `round()` returned.
+  template <typename Round>
+  auto measured(DvmNode& at, Round round);
 
   std::string name_;
   std::unique_ptr<CoherencyProtocol> protocol_;

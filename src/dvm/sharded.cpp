@@ -43,7 +43,8 @@ class ShardedCoherency final : public CoherencyProtocol {
   Status update(std::span<DvmNode* const> members, std::size_t origin,
                 std::string_view key, std::string_view value) override {
     ensure(members);
-    return write_one(members, origin, key, value, /*deleted=*/false);
+    const KV one{key, value};
+    return write(members, origin, {&one, 1}, /*deleted=*/false, "write", send_single);
   }
 
   Status update_batch(std::span<DvmNode* const> members, std::size_t origin,
@@ -51,58 +52,8 @@ class ShardedCoherency final : public CoherencyProtocol {
     ensure(members);
     const std::vector<KV> coalesced = coalesce_writes(writes);
     if (coalesced.empty()) return Status::success();
-    DvmNode* origin_node = members[origin];
-    bind_metrics(*origin_node);
-    counter_ = std::max(counter_, origin_node->state().clock());
-
-    // One version per write; group remote deltas into ONE batched vset
-    // frame per destination owner (the PR 5 coalescing discipline).
-    struct TargetBatch {
-      DvmNode* node;
-      std::vector<VersionedEntry> entries;
-      std::vector<std::size_t> write_idx;
-    };
-    std::vector<TargetBatch> batches;
-    std::map<std::string_view, std::size_t> batch_index;
-    std::vector<std::size_t> applied(coalesced.size(), 0);
-
-    for (std::size_t i = 0; i < coalesced.size(); ++i) {
-      const KV& kv = coalesced[i];
-      Version v{++counter_, writer_id(origin_node->name())};
-      VersionedEntry entry{std::string(kv.key), std::string(kv.value), v, false};
-      for (const std::string& owner : map_.owners(map_.shard_of(kv.key))) {
-        DvmNode* target = find_member(members, owner);
-        if (target == nullptr) continue;
-        if (target == origin_node) {
-          (void)origin_node->state().apply(entry);
-          ++applied[i];
-          continue;
-        }
-        auto [it, inserted] = batch_index.try_emplace(target->name(), batches.size());
-        if (inserted) batches.push_back(TargetBatch{target, {}, {}});
-        batches[it->second].entries.push_back(entry);
-        batches[it->second].write_idx.push_back(i);
-      }
-      c_writes_->add();
-    }
-    for (TargetBatch& batch : batches) {
-      if (origin_node->remote_vset_batch(*batch.node, batch.entries).ok()) {
-        for (std::size_t idx : batch.write_idx) ++applied[idx];
-      } else {
-        c_write_misses_->add(batch.entries.size());
-        for (const VersionedEntry& entry : batch.entries) {
-          park(origin_node->name(), batch.node->name(), entry);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < coalesced.size(); ++i) {
-      if (applied[i] == 0) {
-        return err::unavailable("sharded batch write of '" +
-                                std::string(coalesced[i].key) +
-                                "': no shard owner reachable");
-      }
-    }
-    return Status::success();
+    return write(members, origin, coalesced, /*deleted=*/false, "batch write",
+                 send_batch);
   }
 
   Result<std::string> query(std::span<DvmNode* const> members, std::size_t origin,
@@ -157,7 +108,9 @@ class ShardedCoherency final : public CoherencyProtocol {
     ensure(members);
     // Tombstone, not removal: the version must survive so a stale write
     // that lost the race cannot resurrect the key.
-    return write_one(members, origin, key, "", /*deleted=*/true);
+    const KV tombstone{key, ""};
+    return write(members, origin, {&tombstone, 1}, /*deleted=*/true, "write",
+                 send_single);
   }
 
   Status on_join(std::span<DvmNode* const> members, std::size_t joined) override {
@@ -444,38 +397,78 @@ class ShardedCoherency final : public CoherencyProtocol {
     }
   }
 
-  Status write_one(std::span<DvmNode* const> members, std::size_t origin,
-                   std::string_view key, std::string_view value, bool deleted) {
+  /// The send steps of write(): a singleton vset frame for a single write,
+  /// one batched vset frame per owner for a batch (even a batch of one).
+  static bool send_single(DvmNode& from, DvmNode& to,
+                          std::span<const VersionedEntry> entries) {
+    return from.remote_vset(to, entries.front()).ok();
+  }
+  static bool send_batch(DvmNode& from, DvmNode& to,
+                         std::span<const VersionedEntry> entries) {
+    return from.remote_vset_batch(to, entries).ok();
+  }
+
+  /// The one replicated write behind update, update_batch and erase: each
+  /// write gets the next version and is applied where the origin owns its
+  /// shard; the remote legs are grouped per owner and handed to `send`,
+  /// which delivers one group in the caller's wire shape and reports
+  /// whether it landed. Missed legs are parked as hints. The call fails
+  /// only when some write reached no owner at all; partial landings are
+  /// acknowledged — the parked hints restore R-replication at the next
+  /// replay tick, anti-entropy backstops.
+  template <typename Send>
+  Status write(std::span<DvmNode* const> members, std::size_t origin,
+               std::span<const KV> writes, bool deleted, std::string_view what,
+               Send send) {
     DvmNode* origin_node = members[origin];
     bind_metrics(*origin_node);
     counter_ = std::max(counter_, origin_node->state().clock());
-    Version v{++counter_, writer_id(origin_node->name())};
-    VersionedEntry entry{std::string(key), std::string(value), v, deleted};
-    std::size_t applied = 0;
-    for (const std::string& owner : map_.owners(map_.shard_of(key))) {
-      DvmNode* target = find_member(members, owner);
-      if (target == nullptr) continue;
-      if (target == origin_node) {
-        (void)origin_node->state().apply(entry);
-        ++applied;
-        continue;
+    struct TargetBatch {
+      DvmNode* node;
+      std::vector<VersionedEntry> entries;
+      std::vector<std::size_t> write_idx;
+    };
+    std::vector<TargetBatch> batches;
+    std::map<std::string_view, std::size_t> batch_index;
+    std::vector<std::size_t> applied(writes.size(), 0);
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      Version v{++counter_, writer_id(origin_node->name())};
+      VersionedEntry entry{std::string(writes[i].key), std::string(writes[i].value), v,
+                           deleted};
+      for (const std::string& owner : map_.owners(map_.shard_of(writes[i].key))) {
+        DvmNode* target = find_member(members, owner);
+        if (target == nullptr) continue;
+        if (target == origin_node) {
+          (void)origin_node->state().apply(entry);
+          ++applied[i];
+          continue;
+        }
+        auto [it, inserted] = batch_index.try_emplace(target->name(), batches.size());
+        if (inserted) batches.push_back(TargetBatch{target, {}, {}});
+        batches[it->second].entries.push_back(entry);
+        batches[it->second].write_idx.push_back(i);
       }
-      if (origin_node->remote_vset(*target, entry).ok()) {
-        ++applied;
+      c_writes_->add();
+    }
+    for (TargetBatch& batch : batches) {
+      if (send(*origin_node, *batch.node, batch.entries)) {
+        for (std::size_t idx : batch.write_idx) ++applied[idx];
       } else {
-        c_write_misses_->add();
-        park(origin_node->name(), owner, entry);
+        c_write_misses_->add(batch.entries.size());
+        for (const VersionedEntry& entry : batch.entries) {
+          park(origin_node->name(), batch.node->name(), entry);
+        }
       }
     }
-    c_writes_->add();
-    if (applied == 0) {
-      // Every owner unreachable: the write definitively did not land, the
-      // caller must treat the key as dirty.
-      return err::unavailable("sharded write of '" + std::string(key) +
-                              "': no shard owner reachable");
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      if (applied[i] == 0) {
+        // Every owner unreachable: the write definitively did not land, the
+        // caller must treat the key as dirty.
+        return err::unavailable("sharded " + std::string(what) + " of '" +
+                                std::string(writes[i].key) +
+                                "': no shard owner reachable");
+      }
     }
-    // Partial landings are acknowledged — the parked hints restore
-    // R-replication at the next replay tick, anti-entropy backstops.
     return Status::success();
   }
 

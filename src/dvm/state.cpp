@@ -457,22 +457,18 @@ Status DvmNode::start() {
 
 void DvmNode::stop() { server_.reset(); }
 
+net::Endpoint state_endpoint(std::string_view node) {
+  return net::Endpoint{
+      .scheme = "xdr", .host = std::string(node), .port = kStatePort, .path = ""};
+}
+
 Result<Value> DvmNode::invoke_on(DvmNode& target, std::string_view operation,
                                  std::span<const Value> params) {
-  net::Endpoint endpoint{.scheme = "xdr",
-                         .host = target.name(),
-                         .port = kStatePort,
-                         .path = ""};
-  auto channel = net::make_xdr_channel(network(), host(), endpoint);
-  return channel->invoke(operation, params);
+  return open_state_channel(target)->invoke(operation, params);
 }
 
 std::unique_ptr<net::Channel> DvmNode::open_state_channel(DvmNode& target) {
-  net::Endpoint endpoint{.scheme = "xdr",
-                         .host = target.name(),
-                         .port = kStatePort,
-                         .path = ""};
-  return net::make_xdr_channel(network(), host(), endpoint);
+  return net::make_xdr_channel(network(), host(), state_endpoint(target.name()));
 }
 
 Status DvmNode::remote_set(DvmNode& target, std::string_view key,
@@ -495,13 +491,9 @@ Status DvmNode::remote_set_batch(DvmNode& target, std::span<const KV> writes) {
     item.params.push_back(Value::of_string(std::string(kv.value), "value"));
     calls.push_back(std::move(item));
   }
-  net::Endpoint endpoint{.scheme = "xdr",
-                         .host = target.name(),
-                         .port = kStatePort,
-                         .path = ""};
-  auto channel = net::make_xdr_channel(network(), host(), endpoint);
   std::vector<Result<Value>> results;
-  if (auto status = channel->invoke_batch(calls, results); !status.ok()) {
+  if (auto status = open_state_channel(target)->invoke_batch(calls, results);
+      !status.ok()) {
     return status.error().context("batched set to " + target.name());
   }
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -22,6 +22,10 @@ namespace h2::dvm {
 /// Well-known port of the DVM state service.
 inline constexpr std::uint16_t kStatePort = 7400;
 
+/// Where `node`'s state service listens: xdr://<node>:kStatePort. The one
+/// place that address is built, for DvmNode and the shard-routing layer.
+net::Endpoint state_endpoint(std::string_view node);
+
 /// One key/value write. Batched replication (CoherencyProtocol::
 /// update_batch, DvmNode::remote_set_batch) moves spans of these; the
 /// views borrow the caller's storage for the duration of the call.

@@ -29,19 +29,24 @@ std::string FailoverChannel::node_of(const net::Channel& channel) const {
   return remote != nullptr ? remote->host : origin_.name();
 }
 
-Result<Value> FailoverChannel::invoke(std::string_view operation,
-                                      std::span<const Value> params) {
+// The one replica walk. `send(channel)` makes the call on one candidate
+// in the caller's shape and returns its error, or nullptr on success; the
+// error lives until the next send. Returns nullopt when the last send's
+// outcome is final for the caller, else the terminal kTimeout.
+template <typename Send>
+std::optional<Error> FailoverChannel::walk(Send send) {
+  auto unavailable = [](const Error* error) {
+    return error != nullptr && error->code() == ErrorCode::kUnavailable;
+  };
   std::string failed_node;
   // Sticky primary: keep using the node that last answered until it
   // becomes unavailable — failover is an event, not a per-call lottery.
   if (current_) {
-    auto result = current_->invoke(operation, params);
+    const Error* error = send(*current_);
     last_stats_ = current_->last_stats();
-    if (result.ok() || result.error().code() != ErrorCode::kUnavailable) {
-      // Success, an application answer, or kTimeout ("maybe executed" —
-      // switching replicas now could double-apply; the caller decides).
-      return result;
-    }
+    // Success, an application answer, or kTimeout ("maybe executed" —
+    // switching replicas now could double-apply; the caller decides).
+    if (!unavailable(error)) return std::nullopt;
     failed_node = current_node_;
     current_.reset();
     current_node_.clear();
@@ -57,12 +62,10 @@ Result<Value> FailoverChannel::invoke(std::string_view operation,
     }
     std::string node = node_of(**channel);
     if (node == failed_node) continue;  // the replica that just failed us
-    auto result = (*channel)->invoke(operation, params);
+    const Error* error = send(**channel);
     last_stats_ = (*channel)->last_stats();
-    const bool definitely_not_executed =
-        !result.ok() && result.error().code() == ErrorCode::kUnavailable;
-    if (definitely_not_executed) {
-      last_error = result.error();
+    if (unavailable(error)) {  // definitely not executed: try the next one
+      last_error = *error;
       continue;
     }
     // This replica owns the call now (even a kTimeout pins us here: only
@@ -73,7 +76,7 @@ Result<Value> FailoverChannel::invoke(std::string_view operation,
     }
     current_ = std::move(*channel);
     current_node_ = std::move(node);
-    return result;
+    return std::nullopt;
   }
 
   // Every replica is (currently) unreachable. No handler ran anywhere, but
@@ -84,81 +87,57 @@ Result<Value> FailoverChannel::invoke(std::string_view operation,
                                         last_error.message() + ")");
 }
 
+Result<Value> FailoverChannel::invoke(std::string_view operation,
+                                      std::span<const Value> params) {
+  std::optional<Result<Value>> result;
+  std::optional<Error> failed = walk([&](net::Channel& channel) -> const Error* {
+    result.emplace(channel.invoke(operation, params));
+    return result->ok() ? nullptr : &result->error();
+  });
+  if (failed.has_value()) return std::move(*failed);
+  return std::move(*result);
+}
+
 Status FailoverChannel::invoke_batch(std::span<const net::BatchItem> calls,
                                      std::vector<Result<Value>>& results) {
   if (calls.empty()) {
     results.clear();
     return Status::success();
   }
-  std::string failed_node;
-  if (current_) {
-    Status status = current_->invoke_batch(calls, results);
-    last_stats_ = current_->last_stats();
-    if (status.ok() || status.error().code() != ErrorCode::kUnavailable) {
-      return status;
-    }
-    failed_node = current_node_;
-    current_.reset();
-    current_node_.clear();
-  }
-
-  Error last_error =
-      err::unavailable("no replica of '" + service_ + "' in dvm " + dvm_.name());
-  for (const wsdl::Definitions& defs : dvm_.find_all_services(service_)) {
-    auto channel = open_candidate(defs);
-    if (!channel.ok()) {
-      last_error = channel.error();
-      continue;
-    }
-    std::string node = node_of(**channel);
-    if (node == failed_node) continue;
-    Status status = (*channel)->invoke_batch(calls, results);
-    last_stats_ = (*channel)->last_stats();
-    if (!status.ok() && status.error().code() == ErrorCode::kUnavailable) {
-      last_error = status.error();
-      continue;
-    }
-    if (!failed_node.empty() && node != failed_node) {
-      c_failovers_.add();
-      dvm_.announce_failover(service_, failed_node, node);
-    }
-    current_ = std::move(*channel);
-    current_node_ = std::move(node);
-    return status;
-  }
-
-  Error timeout(ErrorCode::kTimeout, "no replica available for '" + service_ +
-                                         "' (" + last_error.message() + ")");
-  results.assign(calls.size(), Result<Value>(timeout));
-  return Status(std::move(timeout));
+  Status status;
+  std::optional<Error> failed = walk([&](net::Channel& channel) -> const Error* {
+    status = channel.invoke_batch(calls, results);
+    return status.ok() ? nullptr : &status.error();
+  });
+  if (!failed.has_value()) return status;
+  results.assign(calls.size(), Result<Value>(*failed));
+  return Status(std::move(*failed));
 }
 
 // ---- ShardRoutedChannel ---------------------------------------------------------
 
 namespace {
 
-/// Parses the "ts writer" reply of the state service's wset operation.
-std::optional<dvm::Version> parse_version(std::string_view reply) {
-  const std::size_t space = reply.find(' ');
-  if (space == std::string_view::npos) return std::nullopt;
+/// The entry a wset reply acknowledges: the state service answers with
+/// the version it assigned, as "ts writer".
+Result<dvm::VersionedEntry> acknowledged(std::string_view key, std::string_view value,
+                                         const Value& reply) {
+  auto text = reply.as_string();
+  if (!text.ok()) return text.error();
+  const std::size_t space = text->find(' ');
   dvm::Version v;
-  auto [p1, e1] = std::from_chars(reply.data(), reply.data() + space, v.ts);
-  auto [p2, e2] =
-      std::from_chars(reply.data() + space + 1, reply.data() + reply.size(), v.writer);
-  if (e1 != std::errc() || e2 != std::errc()) return std::nullopt;
-  return v;
+  if (space == std::string::npos ||
+      std::from_chars(text->data(), text->data() + space, v.ts).ec != std::errc() ||
+      std::from_chars(text->data() + space + 1, text->data() + text->size(), v.writer)
+              .ec != std::errc()) {
+    return err::internal("bad wset version reply '" + *text + "'");
+  }
+  return dvm::VersionedEntry{std::string(key), std::string(value), v, false};
 }
 
 std::vector<Value> wset_params(std::string_view key, std::string_view value) {
   return {Value::of_string(std::string(key), "key"),
           Value::of_string(std::string(value), "value")};
-}
-
-std::vector<Value> vset_params(const dvm::VersionedEntry& entry) {
-  return {Value::of_string(entry.key, "key"), Value::of_string(entry.value, "value"),
-          Value::of_int(static_cast<std::int64_t>(entry.version.ts), "ts"),
-          Value::of_int(static_cast<std::int64_t>(entry.version.writer), "writer"),
-          Value::of_bool(entry.deleted, "deleted")};
 }
 
 }  // namespace
@@ -173,14 +152,12 @@ ShardRoutedChannel::ShardRoutedChannel(dvm::Dvm& dvm, container::Container& orig
 net::Channel& ShardRoutedChannel::channel_to(const std::string& node) {
   auto it = channels_.find(node);
   if (it == channels_.end()) {
-    net::Endpoint endpoint{
-        .scheme = "xdr", .host = node, .port = dvm::kStatePort, .path = ""};
+    const net::Endpoint endpoint = dvm::state_endpoint(node);
     auto inner = net::make_xdr_channel(origin_.network(), origin_.host(), endpoint);
     it = channels_
-             .emplace(node, make_resilient_channel(
-                                std::move(inner), origin_.network(), policy_,
-                                /*breaker=*/nullptr,
-                                "xdr://" + node + ":" + std::to_string(dvm::kStatePort)))
+             .emplace(node, make_resilient_channel(std::move(inner), origin_.network(),
+                                                   policy_, /*breaker=*/nullptr,
+                                                   endpoint.to_uri()))
              .first;
   }
   return *it->second;
@@ -223,29 +200,31 @@ std::string ShardRoutedChannel::routed_node(std::string_view key) const {
   return it == sticky_.end() ? "" : it->second;
 }
 
-Result<std::string> ShardRoutedChannel::get(std::string_view key) {
+Result<Value> ShardRoutedChannel::route(std::string_view key, std::string_view operation,
+                                        std::span<const Value> params, bool read,
+                                        std::string& served) {
   const dvm::ShardMap* map = dvm_.shard_map();
   if (map == nullptr) {
     return err::unsupported("shard routing requires the sharded coherency mode");
   }
   const std::size_t shard = map->shard_of(key);
-  std::vector<Value> params{Value::of_string(std::string(key), "key")};
   bool any_answered = false;
   Error last_error = err::unavailable("shard " + std::to_string(shard) + " has no owners");
   for (const std::string& node : owner_order(shard, map->owners(shard))) {
-    auto result = channel_to(node).invoke("get", params);
+    auto result = channel_to(node).invoke(operation, params);
     if (result.ok()) {
       note_served(shard, node);
-      return result->as_string();
+      served = node;
+      return result;
     }
-    if (result.error().code() == ErrorCode::kNotFound) {
+    if (read && result.error().code() == ErrorCode::kNotFound) {
       // This replica is reachable but lacks the key (stale or the key is
       // simply absent); another owner may still hold it.
       any_answered = true;
       continue;
     }
     if (result.error().code() != ErrorCode::kUnavailable) {
-      return result.error();  // application answer or maybe-executed
+      return result;  // application answer, or kTimeout: maybe executed
     }
     last_error = result.error();
   }
@@ -255,6 +234,14 @@ Result<std::string> ShardRoutedChannel::get(std::string_view key) {
   }
   return Error(ErrorCode::kTimeout, "no owner of shard " + std::to_string(shard) +
                                         " available (" + last_error.message() + ")");
+}
+
+Result<std::string> ShardRoutedChannel::get(std::string_view key) {
+  const Value param = Value::of_string(std::string(key), "key");
+  std::string served;
+  auto reply = route(key, "get", {&param, 1}, /*read=*/true, served);
+  if (!reply.ok()) return reply.error();
+  return reply->as_string();
 }
 
 Status ShardRoutedChannel::replicate(const dvm::VersionedEntry& entry,
@@ -267,7 +254,7 @@ Status ShardRoutedChannel::replicate(const dvm::VersionedEntry& entry,
   // the coordinating owner, so this never fails the call.
   for (const std::string& owner : owners) {
     if (owner == already_applied) continue;
-    if (!channel_to(owner).invoke("vset", vset_params(entry)).ok()) {
+    if (!channel_to(owner).invoke("vset", dvm::vset_item(entry).params).ok()) {
       dvm_.park_hint(origin_.name(), owner, entry);
     }
   }
@@ -275,33 +262,13 @@ Status ShardRoutedChannel::replicate(const dvm::VersionedEntry& entry,
 }
 
 Status ShardRoutedChannel::set(std::string_view key, std::string_view value) {
-  const dvm::ShardMap* map = dvm_.shard_map();
-  if (map == nullptr) {
-    return err::unsupported("shard routing requires the sharded coherency mode");
-  }
-  const std::size_t shard = map->shard_of(key);
-  auto owners = map->owners(shard);
-  Error last_error = err::unavailable("shard " + std::to_string(shard) + " has no owners");
-  for (const std::string& node : owner_order(shard, owners)) {
-    auto result = channel_to(node).invoke("wset", wset_params(key, value));
-    if (result.ok()) {
-      note_served(shard, node);
-      auto reply = result->as_string();
-      if (!reply.ok()) return reply.error();
-      auto version = parse_version(*reply);
-      if (!version.has_value()) {
-        return err::internal("bad wset version reply '" + *reply + "'");
-      }
-      dvm::VersionedEntry entry{std::string(key), std::string(value), *version, false};
-      return replicate(entry, owners, node);
-    }
-    if (result.error().code() != ErrorCode::kUnavailable) {
-      return result.error();  // kTimeout: maybe executed, do not double-apply
-    }
-    last_error = result.error();
-  }
-  return Error(ErrorCode::kTimeout, "no owner of shard " + std::to_string(shard) +
-                                        " available (" + last_error.message() + ")");
+  std::string served;
+  auto reply = route(key, "wset", wset_params(key, value), /*read=*/false, served);
+  if (!reply.ok()) return reply.error();
+  auto entry = acknowledged(key, value, *reply);
+  if (!entry.ok()) return entry.error();
+  const dvm::ShardMap& map = *dvm_.shard_map();
+  return replicate(*entry, map.owners(map.shard_of(key)), served);
 }
 
 Status ShardRoutedChannel::set_batch(std::span<const dvm::KV> writes) {
@@ -313,10 +280,7 @@ Status ShardRoutedChannel::set_batch(std::span<const dvm::KV> writes) {
 
   // Group writes by the owner each one routes to (sticky/primary of its
   // shard) so each routed owner receives ONE batched wset frame.
-  struct Group {
-    std::vector<std::size_t> write_idx;
-  };
-  std::map<std::string, Group> groups;
+  std::map<std::string, std::vector<std::size_t>> groups;  ///< owner → write indexes
   for (std::size_t i = 0; i < writes.size(); ++i) {
     const std::size_t shard = map->shard_of(writes[i].key);
     auto order = owner_order(shard, map->owners(shard));
@@ -324,49 +288,40 @@ Status ShardRoutedChannel::set_batch(std::span<const dvm::KV> writes) {
       return Error(ErrorCode::kTimeout,
                    "no owner of shard " + std::to_string(shard) + " available");
     }
-    groups[order.front()].write_idx.push_back(i);
+    groups[order.front()].push_back(i);
   }
 
   // One replication entry per write, accumulated across groups and sent as
   // ONE vset batch per secondary owner at the end (failed legs become
   // hints).
   std::map<std::string, std::vector<dvm::VersionedEntry>> replication;
-  for (auto& [node, group] : groups) {
+  for (auto& [node, write_idx] : groups) {
     std::vector<net::BatchItem> calls;
-    calls.reserve(group.write_idx.size());
-    for (std::size_t idx : group.write_idx) {
-      net::BatchItem item;
-      item.operation = "wset";
-      item.params = wset_params(writes[idx].key, writes[idx].value);
-      calls.push_back(std::move(item));
+    calls.reserve(write_idx.size());
+    for (std::size_t idx : write_idx) {
+      calls.push_back(
+          net::BatchItem{"wset", wset_params(writes[idx].key, writes[idx].value), ""});
     }
     std::vector<Result<Value>> results;
     Status status = channel_to(node).invoke_batch(calls, results);
     if (!status.ok() && status.error().code() == ErrorCode::kUnavailable) {
       // The whole frame definitely did not execute: re-route each write
       // individually through the owner walk.
-      for (std::size_t idx : group.write_idx) {
+      for (std::size_t idx : write_idx) {
         if (auto one = set(writes[idx].key, writes[idx].value); !one.ok()) return one;
       }
       continue;
     }
     if (!status.ok()) return status;
     for (std::size_t r = 0; r < results.size(); ++r) {
-      const std::size_t idx = group.write_idx[r];
+      const std::size_t idx = write_idx[r];
       if (!results[r].ok()) return results[r].error();
-      auto reply = results[r]->as_string();
-      if (!reply.ok()) return reply.error();
-      auto version = parse_version(*reply);
-      if (!version.has_value()) {
-        return err::internal("bad wset version reply '" + *reply + "'");
-      }
+      auto entry = acknowledged(writes[idx].key, writes[idx].value, *results[r]);
+      if (!entry.ok()) return entry.error();
       const std::size_t shard = map->shard_of(writes[idx].key);
       note_served(shard, node);
-      dvm::VersionedEntry entry{std::string(writes[idx].key),
-                                std::string(writes[idx].value), *version, false};
       for (const std::string& owner : map->owners(shard)) {
-        if (owner == node) continue;
-        replication[owner].push_back(entry);
+        if (owner != node) replication[owner].push_back(*entry);
       }
     }
   }
@@ -374,10 +329,7 @@ Status ShardRoutedChannel::set_batch(std::span<const dvm::KV> writes) {
     std::vector<net::BatchItem> calls;
     calls.reserve(entries.size());
     for (const dvm::VersionedEntry& entry : entries) {
-      net::BatchItem item;
-      item.operation = "vset";
-      item.params = vset_params(entry);
-      calls.push_back(std::move(item));
+      calls.push_back(dvm::vset_item(entry));
     }
     std::vector<Result<Value>> results;
     if (!channel_to(owner).invoke_batch(calls, results).ok()) {

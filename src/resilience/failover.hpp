@@ -16,10 +16,15 @@
 // kTimeout too: from the caller's point of view the operation's fate is
 // unknowable-until-later, and callers get the simple contract "calls
 // either succeed or fail with kTimeout".
+//
+// invoke() and invoke_batch() share ONE replica walk (walk()); each passes
+// the send step in its own wire shape, so a batch still travels as one
+// batch frame per replica and fails over as one unit.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,6 +61,8 @@ class FailoverChannel final : public net::Channel {
   const std::string& current_node() const { return current_node_; }
 
  private:
+  template <typename Send>
+  std::optional<Error> walk(Send send);
   Result<std::unique_ptr<net::Channel>> open_candidate(const wsdl::Definitions& defs);
   std::string node_of(const net::Channel& channel) const;
 
@@ -103,6 +110,13 @@ class ShardRoutedChannel final {
   std::string routed_node(std::string_view key) const;
 
  private:
+  /// The one owner walk behind get and set: sends `operation` to the
+  /// owners of `key`'s shard, sticky owner first, until one answers. Only
+  /// kUnavailable moves on — plus kNotFound for a `read`, since another
+  /// owner may hold the key. The answering owner is noted as the shard's
+  /// sticky owner and returned in `served`.
+  Result<Value> route(std::string_view key, std::string_view operation,
+                      std::span<const Value> params, bool read, std::string& served);
   net::Channel& channel_to(const std::string& node);
   std::vector<std::string> owner_order(std::size_t shard,
                                        std::span<const std::string> owners) const;

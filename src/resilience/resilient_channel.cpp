@@ -1,6 +1,8 @@
 #include "resilience/resilient_channel.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <optional>
 
 namespace h2::resil {
 
@@ -36,27 +38,36 @@ void ResilientChannel::set_call_id(std::string id) {
   forced_call_id_ = std::move(id);
 }
 
-Result<Value> ResilientChannel::invoke(std::string_view operation,
-                                       std::span<const Value> params) {
+// The one attempt loop. `attempt()` sends the call in its caller's shape
+// and returns the attempt's error, or nullptr on success; the error lives
+// until the next attempt. `label` appends what was called ("op" or
+// "batch[N]") to an error text, so the success path builds no string.
+// Returns nullopt when the last attempt's outcome is final — a success or
+// an application answer — else the loop's own terminal error.
+template <typename Attempt, typename Label>
+std::optional<Error> ResilientChannel::run(Attempt attempt, Label label) {
   const Nanos start = net_.now();
-  if (policy_.attach_call_id) {
-    std::string call_id = forced_call_id_.empty()
-                              ? stamp_call_id(net_.next_call_serial())
-                              : forced_call_id_;
-    // Every retry of this logical call re-sends the SAME id — that is the
-    // whole at-most-once contract with the server's DedupCache.
-    inner_->set_call_id(std::move(call_id));
-  }
-
   last_attempts_ = 0;
   bool maybe_exec = false;
   Error last_error = err::unavailable("no attempt made");
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
+  // "<what> calling '<label>' on <endpoint>", then "<open><last error>)".
+  auto calling = [&](std::string_view what, std::string_view open = {}) {
+    std::string text(what);
+    text += " calling '";
+    label(text);
+    text += "' on ";
+    text += endpoint_key_;
+    if (!open.empty()) {
+      text += open;
+      text += last_error.message();
+      text += ')';
+    }
+    return text;
+  };
+  for (int n = 1; n <= policy_.max_attempts; ++n) {
     if (policy_.deadline > 0 && net_.now() - start >= policy_.deadline) {
       c_deadline_.add();
-      return Error(ErrorCode::kTimeout,
-                   "deadline exceeded calling '" + std::string(operation) +
-                       "' on " + endpoint_key_ + " (" + last_error.message() + ")");
+      return Error(ErrorCode::kTimeout, calling("deadline exceeded", " ("));
     }
     if (breaker_ != nullptr && !breaker_->allow(net_.now())) {
       c_fastfail_.add();
@@ -66,22 +77,22 @@ Result<Value> ResilientChannel::invoke(std::string_view operation,
     } else {
       ++last_attempts_;
       if (last_attempts_ > 1) c_retries_.add();
-      auto result = inner_->invoke(operation, params);
+      const Error* error = attempt();
       const Nanos after = net_.now();
-      if (result.ok()) {
+      if (error == nullptr) {
         if (breaker_ != nullptr) breaker_->record(true, after);
-        return result;
+        return std::nullopt;
       }
-      const ErrorCode code = result.error().code();
+      const ErrorCode code = error->code();
       // Application-level answers (kNotFound, a SOAP fault, ...) mean the
       // host is healthy: success for the breaker, final for the caller.
       if (breaker_ != nullptr) breaker_->record(!transient(code), after);
-      if (!transient(code)) return result;
+      if (!transient(code)) return std::nullopt;
       if (maybe_executed(code)) maybe_exec = true;
-      last_error = result.error();
+      last_error = *error;
     }
-    if (attempt < policy_.max_attempts) {
-      net_.sleep_for(backoff_delay(policy_, attempt, rng_));
+    if (n < policy_.max_attempts) {
+      net_.sleep_for(backoff_delay(policy_, n, rng_));
     }
   }
 
@@ -89,11 +100,30 @@ Result<Value> ResilientChannel::invoke(std::string_view operation,
     // Some attempt may have reached the dispatcher; only a same-id retry
     // (not a failover) would be safe, and the budget is spent.
     return Error(ErrorCode::kTimeout,
-                 "retries exhausted calling '" + std::string(operation) + "' on " +
-                     endpoint_key_ + "; a reply was lost (" + last_error.message() + ")");
+                 calling("retries exhausted", "; a reply was lost ("));
   }
-  return last_error.context("retries exhausted calling '" + std::string(operation) +
-                            "' on " + endpoint_key_);
+  return last_error.context(calling("retries exhausted"));
+}
+
+Result<Value> ResilientChannel::invoke(std::string_view operation,
+                                       std::span<const Value> params) {
+  if (policy_.attach_call_id) {
+    std::string call_id = forced_call_id_.empty()
+                              ? stamp_call_id(net_.next_call_serial())
+                              : forced_call_id_;
+    // Every retry of this logical call re-sends the SAME id — that is the
+    // whole at-most-once contract with the server's DedupCache.
+    inner_->set_call_id(std::move(call_id));
+  }
+  std::optional<Result<Value>> result;
+  std::optional<Error> failed = run(
+      [&]() -> const Error* {
+        result.emplace(inner_->invoke(operation, params));
+        return result->ok() ? nullptr : &result->error();
+      },
+      [&](std::string& text) { text += operation; });
+  if (failed.has_value()) return std::move(*failed);
+  return std::move(*result);
 }
 
 Status ResilientChannel::invoke_batch(std::span<const net::BatchItem> calls,
@@ -108,69 +138,34 @@ Status ResilientChannel::invoke_batch(std::span<const net::BatchItem> calls,
   // so all re-sends carry the SAME ids.
   std::vector<net::BatchItem> stamped;
   std::span<const net::BatchItem> effective = calls;
-  if (policy_.attach_call_id) {
-    bool missing = false;
-    for (const net::BatchItem& item : calls) {
-      if (item.call_id.empty()) {
-        missing = true;
-        break;
-      }
+  if (policy_.attach_call_id &&
+      std::any_of(calls.begin(), calls.end(),
+                  [](const net::BatchItem& item) { return item.call_id.empty(); })) {
+    stamped.assign(calls.begin(), calls.end());
+    for (net::BatchItem& item : stamped) {
+      if (item.call_id.empty()) item.call_id = stamp_call_id(net_.next_call_serial());
     }
-    if (missing) {
-      stamped.assign(calls.begin(), calls.end());
-      for (net::BatchItem& item : stamped) {
-        if (item.call_id.empty()) item.call_id = stamp_call_id(net_.next_call_serial());
-      }
-      effective = stamped;
-    }
+    effective = stamped;
   }
 
-  const std::string label = "batch[" + std::to_string(calls.size()) + "]";
-  const Nanos start = net_.now();
-  last_attempts_ = 0;
-  bool maybe_exec = false;
-  Error last_error = err::unavailable("no attempt made");
-  auto fail = [&](Error error) -> Status {
-    results.assign(calls.size(), Result<Value>(error));
-    return Status(std::move(error));
-  };
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-    if (policy_.deadline > 0 && net_.now() - start >= policy_.deadline) {
-      c_deadline_.add();
-      return fail(Error(ErrorCode::kTimeout,
-                        "deadline exceeded calling '" + label + "' on " +
-                            endpoint_key_ + " (" + last_error.message() + ")"));
-    }
-    if (breaker_ != nullptr && !breaker_->allow(net_.now())) {
-      c_fastfail_.add();
-      last_error = err::unavailable("circuit open for " + endpoint_key_);
-    } else {
-      ++last_attempts_;
-      if (last_attempts_ > 1) c_retries_.add();
-      Status status = inner_->invoke_batch(effective, results);
-      const Nanos after = net_.now();
-      if (status.ok()) {
-        if (breaker_ != nullptr) breaker_->record(true, after);
-        return status;
-      }
-      const ErrorCode code = status.error().code();
-      if (breaker_ != nullptr) breaker_->record(!transient(code), after);
-      if (!transient(code)) return fail(status.error());
-      if (maybe_executed(code)) maybe_exec = true;
-      last_error = status.error();
-    }
-    if (attempt < policy_.max_attempts) {
-      net_.sleep_for(backoff_delay(policy_, attempt, rng_));
-    }
+  Status status;
+  std::optional<Error> failed = run(
+      [&]() -> const Error* {
+        status = inner_->invoke_batch(effective, results);
+        return status.ok() ? nullptr : &status.error();
+      },
+      [&](std::string& text) {
+        text += "batch[";
+        text += std::to_string(calls.size());
+        text += ']';
+      });
+  if (!failed.has_value()) {
+    if (status.ok()) return status;
+    failed = status.error();  // an application answer for the whole frame
   }
-
-  if (maybe_exec) {
-    return fail(Error(ErrorCode::kTimeout,
-                      "retries exhausted calling '" + label + "' on " + endpoint_key_ +
-                          "; a reply was lost (" + last_error.message() + ")"));
-  }
-  return fail(last_error.context("retries exhausted calling '" + label + "' on " +
-                                 endpoint_key_));
+  // No per-call verdicts exist: every sub-call carries the batch's error.
+  results.assign(calls.size(), Result<Value>(*failed));
+  return Status(std::move(*failed));
 }
 
 std::unique_ptr<net::Channel> make_resilient_channel(

@@ -17,9 +17,14 @@
 // FailoverChannel): kTimeout if ANY attempt may have executed — failing
 // over then could double-apply — else kUnavailable, meaning it is safe to
 // try a different replica.
+//
+// invoke() and invoke_batch() share ONE attempt loop (run()); each passes
+// the send step in its own wire shape — a singleton call or one batch
+// frame, even for a batch of one — so the retry policy exists once.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "resilience/breaker.hpp"
@@ -41,7 +46,8 @@ class ResilientChannel final : public net::Channel {
                        std::span<const Value> params) override;
   /// Same retry/deadline/breaker loop around ONE wire message for the
   /// whole batch. Sub-call ids left empty by the caller are stamped once
-  /// so re-sent batches stay at-most-once per sub-call.
+  /// so re-sent batches stay at-most-once per sub-call. On failure every
+  /// entry of `results` holds the returned error.
   Status invoke_batch(std::span<const net::BatchItem> calls,
                       std::vector<Result<Value>>& results) override;
   const char* binding_name() const override { return inner_->binding_name(); }
@@ -53,6 +59,9 @@ class ResilientChannel final : public net::Channel {
   int last_attempts() const { return last_attempts_; }
 
  private:
+  template <typename Attempt, typename Label>
+  std::optional<Error> run(Attempt attempt, Label label);
+
   std::unique_ptr<net::Channel> inner_;
   net::Transport& net_;
   CallPolicy policy_;

@@ -42,11 +42,15 @@ void SimHarness::add_invariant(std::unique_ptr<Invariant> invariant) {
 }
 
 std::string SimHarness::node_name(std::size_t index) const {
-  return "n" + std::to_string(index);
+  std::string name = "n";
+  name += std::to_string(index);
+  return name;
 }
 
 std::string SimHarness::key_name(std::size_t index) const {
-  return "k" + std::to_string(index);
+  std::string key = "k";
+  key += std::to_string(index);
+  return key;
 }
 
 std::string SimHarness::random_alive_node() {

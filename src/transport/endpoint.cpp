@@ -95,7 +95,10 @@ Result<Endpoint> Endpoint::parse(std::string_view uri) {
 
 std::string Endpoint::to_uri() const {
   std::string out = scheme + "://" + host;
-  if (port != 0) out += ":" + std::to_string(port);
+  if (port != 0) {
+    out += ':';
+    out += std::to_string(port);
+  }
   if (!path.empty()) out += "/" + path;
   return out;
 }

@@ -109,7 +109,9 @@ class Channel {
   /// call, in order — individual sub-calls may still carry application
   /// errors. On transport failure `results` is filled with that error for
   /// every call. The default implementation loops over invoke(), so every
-  /// channel supports the API even when its binding has no batch framing.
+  /// channel supports the API even when its binding has no batch framing;
+  /// it sets each sub-call's id and clears the id after the last one, so
+  /// no id stays pinned to the next invoke() after a batch.
   virtual Status invoke_batch(std::span<const BatchItem> calls,
                               std::vector<Result<Value>>& results) {
     results.clear();
@@ -120,6 +122,7 @@ class Channel {
       set_call_id(item.call_id);
       results.push_back(invoke(item.operation, item.params));
     }
+    set_call_id({});
     return Status::success();
   }
 };

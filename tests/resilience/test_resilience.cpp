@@ -206,9 +206,41 @@ TEST(MarshalTest, PlainFrameHasNoCallId) {
   EXPECT_TRUE(call->call_id.empty());
 }
 
+// ---- call shapes ------------------------------------------------------------
+// Each decorator keeps one loop behind invoke() and invoke_batch(), so the
+// resilient-channel and failover tests run once per caller: a plain
+// invoke(), and the same call as a one-call invoke_batch().
+
+enum class Shape { kInvoke, kBatch };
+
+std::string shape_name(const ::testing::TestParamInfo<Shape>& info) {
+  return info.param == Shape::kInvoke ? "invoke" : "batch";
+}
+
+/// Calls `operation` through `channel` in `shape`. In the batch shape a
+/// transport failure must fill the one result with the returned error.
+Result<Value> call_in(Shape shape, net::Channel& channel, std::string_view operation,
+                      std::span<const Value> params) {
+  if (shape == Shape::kInvoke) return channel.invoke(operation, params);
+  const net::BatchItem item{std::string(operation), {params.begin(), params.end()}, ""};
+  std::vector<Result<Value>> results;
+  Status status = channel.invoke_batch({&item, 1}, results);
+  EXPECT_EQ(results.size(), 1u);
+  if (results.size() != 1) return err::internal("batch returned no single result");
+  if (!status.ok()) {
+    EXPECT_FALSE(results[0].ok());
+    if (!results[0].ok()) {
+      EXPECT_EQ(results[0].error().code(), status.error().code());
+      EXPECT_EQ(results[0].error().message(), status.error().message());
+    }
+    return status.error();
+  }
+  return results[0];
+}
+
 // ---- resilient channel over a chaotic network -------------------------------
 
-class ResilientChannelTest : public ::testing::Test {
+class ResilientChannelTest : public ::testing::TestWithParam<Shape> {
  protected:
   static constexpr std::uint16_t kPort = 9100;
 
@@ -234,6 +266,10 @@ class ResilientChannelTest : public ::testing::Test {
         policy, breaker, "server");
   }
 
+  Result<Value> call(net::Channel& channel, std::string_view operation) {
+    return call_in(GetParam(), channel, operation, {});
+  }
+
   net::SimNetwork net_;
   net::HostId client_ = 0, server_ = 0;
   std::shared_ptr<net::DispatcherMux> mux_;
@@ -242,7 +278,7 @@ class ResilientChannelTest : public ::testing::Test {
   int executions_ = 0;
 };
 
-TEST_F(ResilientChannelTest, RetriesThroughDroppedRequests) {
+TEST_P(ResilientChannelTest, RetriesThroughDroppedRequests) {
   int drops_left = 2;
   net_.set_fault_hook([&](const net::MessageInfo& info) {
     net::FaultDecision d;
@@ -253,7 +289,7 @@ TEST_F(ResilientChannelTest, RetriesThroughDroppedRequests) {
     return d;
   });
   auto channel = make_channel(CallPolicy{});
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_TRUE(result.ok()) << result.error().message();
   EXPECT_EQ(executions_, 1);
   auto* resilient = static_cast<ResilientChannel*>(channel.get());
@@ -261,16 +297,16 @@ TEST_F(ResilientChannelTest, RetriesThroughDroppedRequests) {
   EXPECT_EQ(net_.metrics().counter_value("h2.resil.retries"), 2u);
 }
 
-TEST_F(ResilientChannelTest, ApplicationErrorsAreNotRetried) {
+TEST_P(ResilientChannelTest, ApplicationErrorsAreNotRetried) {
   auto channel = make_channel(CallPolicy{});
-  auto result = channel->invoke("reject", {});
+  auto result = call(*channel, "reject");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kInvalidArgument);
   auto* resilient = static_cast<ResilientChannel*>(channel.get());
   EXPECT_EQ(resilient->last_attempts(), 1);
 }
 
-TEST_F(ResilientChannelTest, DeadlineExceededIsTimeout) {
+TEST_P(ResilientChannelTest, DeadlineExceededIsTimeout) {
   net_.set_fault_hook([](const net::MessageInfo& info) {
     net::FaultDecision d;
     d.drop = info.is_call;
@@ -281,14 +317,14 @@ TEST_F(ResilientChannelTest, DeadlineExceededIsTimeout) {
   policy.initial_backoff = 2 * kMillisecond;
   policy.max_attempts = 100;
   auto channel = make_channel(policy);
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kTimeout);
   EXPECT_EQ(executions_, 0);
   EXPECT_GE(net_.metrics().counter_value("h2.resil.deadline_exceeded"), 1u);
 }
 
-TEST_F(ResilientChannelTest, ExhaustionWithoutExecutionIsUnavailable) {
+TEST_P(ResilientChannelTest, ExhaustionWithoutExecutionIsUnavailable) {
   net_.set_fault_hook([](const net::MessageInfo& info) {
     net::FaultDecision d;
     d.drop = info.is_call;
@@ -298,14 +334,14 @@ TEST_F(ResilientChannelTest, ExhaustionWithoutExecutionIsUnavailable) {
   policy.deadline = 0;  // only the retry budget limits the call
   policy.max_attempts = 3;
   auto channel = make_channel(policy);
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_FALSE(result.ok());
   // Every attempt was lost pre-delivery: safe for a caller to fail over.
   EXPECT_EQ(result.error().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(executions_, 0);
 }
 
-TEST_F(ResilientChannelTest, LostReplyExhaustionIsTimeoutAndExecutesOnce) {
+TEST_P(ResilientChannelTest, LostReplyExhaustionIsTimeoutAndExecutesOnce) {
   net_.set_fault_hook([](const net::MessageInfo& info) {
     net::FaultDecision d;
     d.drop_reply = info.is_call;
@@ -315,7 +351,7 @@ TEST_F(ResilientChannelTest, LostReplyExhaustionIsTimeoutAndExecutesOnce) {
   policy.deadline = 0;
   policy.max_attempts = 3;
   auto channel = make_channel(policy);
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_FALSE(result.ok());
   // The handler ran, so the outcome is unknowable: kTimeout, never failover.
   EXPECT_EQ(result.error().code(), ErrorCode::kTimeout);
@@ -325,7 +361,7 @@ TEST_F(ResilientChannelTest, LostReplyExhaustionIsTimeoutAndExecutesOnce) {
   EXPECT_EQ(dedup_->hits(), 2u);
 }
 
-TEST_F(ResilientChannelTest, DedupReplaysLostReplyToSuccess) {
+TEST_P(ResilientChannelTest, DedupReplaysLostReplyToSuccess) {
   bool first = true;
   net_.set_fault_hook([&](const net::MessageInfo& info) {
     net::FaultDecision d;
@@ -336,14 +372,14 @@ TEST_F(ResilientChannelTest, DedupReplaysLostReplyToSuccess) {
     return d;
   });
   auto channel = make_channel(CallPolicy{});
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_TRUE(result.ok()) << result.error().message();
   EXPECT_EQ(*result->as_int(), 1);
   EXPECT_EQ(executions_, 1);  // the retry was served from the cache
   EXPECT_EQ(dedup_->hits(), 1u);
 }
 
-TEST_F(ResilientChannelTest, WithoutDedupLostRepliesDoubleExecute) {
+TEST_P(ResilientChannelTest, WithoutDedupLostRepliesDoubleExecute) {
   // The contrast case proving the cache is what carries at-most-once.
   dedup_->set_enabled(false);
   bool first = true;
@@ -356,12 +392,12 @@ TEST_F(ResilientChannelTest, WithoutDedupLostRepliesDoubleExecute) {
     return d;
   });
   auto channel = make_channel(CallPolicy{});
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(executions_, 2);  // double-applied: exactly the planted bug
 }
 
-TEST_F(ResilientChannelTest, OpenBreakerFailsFast) {
+TEST_P(ResilientChannelTest, OpenBreakerFailsFast) {
   CircuitBreaker breaker(BreakerConfig{.window = 2, .min_calls = 2,
                                        .failure_threshold = 0.5,
                                        .cooldown = 500 * kMillisecond});
@@ -373,14 +409,14 @@ TEST_F(ResilientChannelTest, OpenBreakerFailsFast) {
   policy.deadline = 0;
   policy.max_attempts = 2;
   auto channel = make_channel(policy, &breaker);
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(executions_, 0);  // nothing reached the wire
   EXPECT_EQ(net_.metrics().counter_value("h2.resil.breaker_fastfail"), 2u);
 }
 
-TEST_F(ResilientChannelTest, BreakerOpensFromRealFailuresThenRecovers) {
+TEST_P(ResilientChannelTest, BreakerOpensFromRealFailuresThenRecovers) {
   bool dropping = true;
   net_.set_fault_hook([&](const net::MessageInfo& info) {
     net::FaultDecision d;
@@ -394,21 +430,24 @@ TEST_F(ResilientChannelTest, BreakerOpensFromRealFailuresThenRecovers) {
   policy.deadline = 0;
   policy.max_attempts = 4;
   auto channel = make_channel(policy, &breaker);
-  ASSERT_FALSE(channel->invoke("bump", {}).ok());
+  ASSERT_FALSE(call(*channel, "bump").ok());
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
 
   // Network heals; backoff time lets the cooldown elapse, the half-open
   // probe succeeds, and the breaker closes again.
   dropping = false;
   net_.clock().advance(6 * kMillisecond);
-  auto result = channel->invoke("bump", {});
+  auto result = call(*channel, "bump");
   ASSERT_TRUE(result.ok()) << result.error().message();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 }
 
+INSTANTIATE_TEST_SUITE_P(Shapes, ResilientChannelTest,
+                         ::testing::Values(Shape::kInvoke, Shape::kBatch), shape_name);
+
 // ---- DVM failover -----------------------------------------------------------
 
-class FailoverTest : public ::testing::Test {
+class FailoverTest : public ::testing::TestWithParam<Shape> {
  protected:
   static constexpr std::size_t kNodes = 3;
 
@@ -431,7 +470,7 @@ class FailoverTest : public ::testing::Test {
 
   Result<Value> add(net::Channel& channel, const std::string& id) {
     const Value params[] = {Value::of_string(id, "id"), Value::of_int(1, "delta")};
-    return channel.invoke("add", params);
+    return call_in(GetParam(), channel, "add", params);
   }
 
   net::SimNetwork net_;
@@ -440,7 +479,7 @@ class FailoverTest : public ::testing::Test {
   std::unique_ptr<dvm::Dvm> dvm_;
 };
 
-TEST_F(FailoverTest, FailsOverToSurvivingReplicaAndAnnounces) {
+TEST_P(FailoverTest, FailsOverToSurvivingReplicaAndAnnounces) {
   std::vector<std::string> events;
   auto subscription = containers_[0]->kernel().events().subscribe(
       "dvm/failover", [&](const Value& payload) {
@@ -464,7 +503,7 @@ TEST_F(FailoverTest, FailsOverToSurvivingReplicaAndAnnounces) {
   EXPECT_EQ(events[0], "CounterService:n1->n2");
 }
 
-TEST_F(FailoverTest, AllReplicasDeadReportsTimeout) {
+TEST_P(FailoverTest, AllReplicasDeadReportsTimeout) {
   CallPolicy policy;
   policy.max_attempts = 2;
   FailoverChannel channel(*dvm_, *containers_[0], "CounterService", policy,
@@ -477,7 +516,7 @@ TEST_F(FailoverTest, AllReplicasDeadReportsTimeout) {
   EXPECT_EQ(result.error().code(), ErrorCode::kTimeout);
 }
 
-TEST_F(FailoverTest, RejoinedReplicaServesAgain) {
+TEST_P(FailoverTest, RejoinedReplicaServesAgain) {
   CallPolicy policy;
   policy.max_attempts = 2;
   FailoverChannel channel(*dvm_, *containers_[0], "CounterService", policy,
@@ -491,6 +530,9 @@ TEST_F(FailoverTest, RejoinedReplicaServesAgain) {
   ASSERT_TRUE(result.ok()) << result.error().message();
   EXPECT_EQ(channel.current_node(), "n1");
 }
+
+INSTANTIATE_TEST_SUITE_P(Shapes, FailoverTest,
+                         ::testing::Values(Shape::kInvoke, Shape::kBatch), shape_name);
 
 // ---- satellite fixes --------------------------------------------------------
 

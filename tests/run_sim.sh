@@ -16,8 +16,10 @@
 #
 # Before the sweep it writes $BUILD_DIR/sim_trace_digests.txt: one
 # "sha256  scenario" line per `simrunner --list` scenario, hashing the
-# --trace output of seeds 1..20. Two builds' traces are byte-identical
-# exactly when `diff` finds their digest files equal.
+# --trace output of seeds 1..20, then one "sha256  example:<name>" line
+# per program in $BUILD_DIR/examples, hashing its stdout+stderr. Two
+# builds' traces and example outputs are byte-identical exactly when
+# `diff` finds their digest files equal.
 #
 # Usage: tests/run_sim.sh [build-dir] [seeds]
 #   build-dir  defaults to ./build
@@ -44,7 +46,7 @@ ctest --test-dir "$BUILD_DIR" -L shard --output-on-failure
 echo "== ctest -L loop =="
 ctest --test-dir "$BUILD_DIR" -L loop --output-on-failure
 
-echo "== trace digests: every scenario, seeds 1..20 =="
+echo "== trace digests: every scenario (seeds 1..20) and every example =="
 DIGESTS="$BUILD_DIR/sim_trace_digests.txt"
 : > "$DIGESTS"
 for scenario in $("$BUILD_DIR/src/sim/simrunner" --list | cut -d' ' -f1); do
@@ -52,7 +54,11 @@ for scenario in $("$BUILD_DIR/src/sim/simrunner" --list | cut -d' ' -f1); do
     --trace | sha256sum | cut -d' ' -f1)
   echo "$digest  $scenario" >> "$DIGESTS"
 done
-echo "   $(wc -l < "$DIGESTS") scenarios: $DIGESTS"
+for example in $(find "$BUILD_DIR/examples" -maxdepth 1 -type f -perm -u+x | sort); do
+  digest=$("$example" 2>&1 | sha256sum | cut -d' ' -f1)
+  echo "$digest  example:$(basename "$example")" >> "$DIGESTS"
+done
+echo "   $(wc -l < "$DIGESTS") scenarios and examples: $DIGESTS"
 
 echo "== simrunner sweep: all scenarios, seeds 1..$SEEDS =="
 SWEEP_LOG="$BUILD_DIR/sim_sweep.log"

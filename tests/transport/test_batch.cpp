@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "resilience/dedup.hpp"
+#include "resilience/resilient_channel.hpp"
 #include "transport/http.hpp"
 #include "transport/marshal.hpp"
 #include "transport/rpc.hpp"
@@ -446,6 +447,26 @@ class CrossShapeDedupTest : public BatchRpcTest {
     }
   }
 
+  /// Runs a batch of two id-carrying adds, then a plain invoke() with no
+  /// id: that call must run, not replay the batch's last sub-call.
+  void expect_no_id_pinned_after_batch(Channel& channel, const std::string& prefix) {
+    const std::int64_t base = total_;
+    const int executed = executions_;
+    std::vector<BatchItem> items{BatchItem{"add", {Value::of_int(1, "n")}, prefix + "a"},
+                                 BatchItem{"add", {Value::of_int(2, "n")}, prefix + "b"}};
+    std::vector<Result<Value>> results;
+    ASSERT_TRUE(channel.invoke_batch(items, results).ok());
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results[1].ok()) << results[1].error().describe();
+    EXPECT_EQ(*results[1]->as_int(), base + 3);
+
+    const Value hundred = Value::of_int(100, "n");
+    auto after = channel.invoke("add", {&hundred, 1});
+    ASSERT_TRUE(after.ok()) << after.error().describe();
+    EXPECT_EQ(*after->as_int(), base + 103);
+    EXPECT_EQ(executions_, executed + 3);
+  }
+
   std::shared_ptr<resil::DedupCache> dedup_ = std::make_shared<resil::DedupCache>();
   std::unique_ptr<ServerHandle> xdr_;
   std::unique_ptr<SoapHttpServer> http_;
@@ -484,6 +505,32 @@ TEST_F(CrossShapeDedupTest, RawHttpReplaysAcrossShapes) {
     if (frames->size() != 1) return err::parse("expected one sub-reply");
     return unmarshal_reply(frames->front());
   });
+}
+
+// ---- no call id stays pinned after a batch ----------------------------------
+// The default invoke_batch() loop — used by the raw-HTTP channel, which has
+// no batch framing — sets each sub-call's id on the channel in turn. The
+// last one must not stay pinned: the next plain invoke() would carry it,
+// and a dedup-enabled server would replay that sub-call's cached reply
+// instead of running the new call.
+
+TEST_F(CrossShapeDedupTest, XdrBatchLeavesNoCallIdPinned) {
+  auto channel = make_xdr_channel(net_, client_, *Endpoint::parse("xdr://server:9001"));
+  expect_no_id_pinned_after_batch(*channel, "xdr-");
+}
+
+TEST_F(CrossShapeDedupTest, RawHttpBatchLeavesNoCallIdPinned) {
+  const Endpoint raw = *Endpoint::parse("http://server:8080/raw");
+  auto channel = make_http_channel(net_, client_, raw);
+  expect_no_id_pinned_after_batch(*channel, "http-");
+
+  // The same through the resilience decorator when it stamps no ids of
+  // its own: it hands the batch to the channel's default loop.
+  resil::CallPolicy policy;
+  policy.attach_call_id = false;
+  auto resilient = resil::make_resilient_channel(make_http_channel(net_, client_, raw),
+                                                 net_, policy, nullptr, "server");
+  expect_no_id_pinned_after_batch(*resilient, "resilient-");
 }
 
 // ---- satellites -------------------------------------------------------------
