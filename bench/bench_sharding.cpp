@@ -7,8 +7,9 @@
 // convergence check: a manually diverged replica is repaired in one round.
 //
 // EXP-HANDOFF rides in the same binary: the repair-bandwidth claim
-// (Merkle anti-entropy moves O(diff) bytes where the flat exchange moves
-// the whole shard — measured as SimNetwork byte deltas at 1% divergence)
+// (Merkle anti-entropy moves O(diff) bytes where a whole-shard exchange
+// moves the whole shard twice — measured as SimNetwork byte deltas at 1%
+// divergence)
 // and the bounded-rebalance claim (a node join against a token-bucket
 // budget leaves foreground write latency near baseline, where the
 // unthrottled join stalls one tick for the whole handoff).
@@ -169,11 +170,42 @@ struct RepairBandwidth {
   std::size_t keys = 0;
   std::size_t diverged = 0;
   std::size_t buckets = 0;
-  std::uint64_t flat_bytes = 0;    ///< whole-shard digest+pull+push exchange
+  std::uint64_t flat_bytes = 0;    ///< whole-shard digest+pull+push (whole_shard_sync)
   std::uint64_t merkle_bytes = 0;  ///< top-down descent + diverged buckets only
   double ratio = 0;                ///< merkle / flat
   bool both_converged = false;
 };
+
+/// The baseline the Merkle exchange is measured against: probe the root
+/// and pull the one bucket of a one-bucket tree (the shard's digest and
+/// the whole shard), LWW-merge, then push the whole merged shard back —
+/// what a repair must send when it cannot tell which entries the peer
+/// lacks.
+bool whole_shard_sync(net::Channel& peer, dvm::StateStore& local) {
+  std::vector<Value> params{Value::of_int(0, "shard"), Value::of_int(1, "shards"),
+                            Value::of_int(1, "buckets"), Value::of_int(0, "level"),
+                            Value::of_int(0, "index")};
+  auto root = peer.invoke("mnode", params);
+  if (!root.ok() || !root->as_int().ok()) return false;
+  if (static_cast<std::uint64_t>(*root->as_int()) ==
+      dvm::build_merkle_tree(local, 0, 1, 1).root()) {
+    return true;
+  }
+  params.resize(3);
+  params.push_back(Value::of_int(0, "bucket"));
+  auto blob = peer.invoke("mpull", params);
+  if (!blob.ok() || !blob->as_string().ok()) return false;
+  auto entries = dvm::decode_entries(*blob->as_string());
+  if (!entries.ok()) return false;
+  for (const dvm::VersionedEntry& entry : *entries) local.apply(entry);
+  std::vector<net::BatchItem> calls;
+  for (const dvm::VersionedEntry& entry : local.shard_snapshot(0, 1)) {
+    calls.push_back(dvm::vset_item(entry));
+  }
+  return dvm::push_batch(peer, calls, "whole-shard push", [](std::size_t) {
+           return std::string("whole-shard push");
+         }).ok();
+}
 
 /// One client/server pair on a fresh SimNetwork; `diverged` of `keys`
 /// entries hold a newer version on the server only. Returns the total
@@ -203,7 +235,7 @@ std::uint64_t measure_exchange(std::size_t keys, std::size_t diverged, Sync sync
       net::make_xdr_channel(net, client, *net::Endpoint::parse("xdr://server:9001"));
   net.reset_stats();
   bool ok = sync(*channel, local);
-  *out_ok = ok && local.shard_digest(0, 1) == remote->shard_digest(0, 1);
+  *out_ok = ok && local.shard_snapshot(0, 1) == remote->shard_snapshot(0, 1);
   return net.stats().bytes;
 }
 
@@ -216,12 +248,7 @@ RepairBandwidth measure_repair_bandwidth() {
   out.diverged = out.keys / 100;  // 1% divergence
   out.buckets = 1024;
   bool flat_ok = false, merkle_ok = false;
-  out.flat_bytes = measure_exchange(
-      out.keys, out.diverged,
-      [](net::Channel& peer, dvm::StateStore& local) {
-        return dvm::sync_shard_with_peer(peer, local, 0, 1).ok();
-      },
-      &flat_ok);
+  out.flat_bytes = measure_exchange(out.keys, out.diverged, whole_shard_sync, &flat_ok);
   out.merkle_bytes = measure_exchange(
       out.keys, out.diverged,
       [&out](net::Channel& peer, dvm::StateStore& local) {

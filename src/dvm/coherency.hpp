@@ -171,7 +171,7 @@ std::unique_ptr<CoherencyProtocol> make_decentralized();
 std::unique_ptr<CoherencyProtocol> make_neighborhood(std::size_t k);
 
 /// Sharded mode: consistent-hash ring placement, LWW deltas to the R
-/// shard owners only, periodic anti-entropy digest exchange for repair.
+/// shard owners only, periodic Merkle anti-entropy (merkle.hpp) for repair.
 std::unique_ptr<CoherencyProtocol> make_sharded(ShardConfig config);
 
 /// TEST ONLY. Sharded mode with a deliberately planted repair bug: the

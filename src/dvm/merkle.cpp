@@ -188,8 +188,11 @@ Result<MerkleSyncStats> merkle_sync_shard_with_peer(net::Channel& peer,
   }
   if (!push.empty()) {
     stats.bytes_pushed += encode_entries(push).size();
-    if (auto status =
-            push_entries_batched(peer, push, shard_label(shard) + " push");
+    std::vector<net::BatchItem> calls;
+    calls.reserve(push.size());
+    for (const VersionedEntry& entry : push) calls.push_back(vset_item(entry));
+    const std::string label = shard_label(shard) + " push";
+    if (auto status = push_batch(peer, calls, label, [&](std::size_t) { return label; });
         !status.ok()) {
       return status.error();
     }

@@ -1,16 +1,15 @@
-// Merkle-tree anti-entropy for the sharded DVM. A shard's entries are
-// hashed into a fixed number of leaf buckets (key → bucket by a second,
-// decorrelated hash); leaf digests chain the bucket's key-sorted entries
-// and internal nodes combine their children, so two replicas with equal
-// roots hold byte-equal shards. Repair probes the root (`mnode`), then
-// walks the tree top-down with one packed `mnodes` frame per level —
-// child indexes and digests as 8-byte big-endian blobs, so the descent
-// costs ~16 wire bytes per node instead of a named-param call each —
-// descending only into subtrees whose digests disagree, and finally
-// transfers just the diverged leaf buckets (`mpull` + a vset push-back
-// of what the peer was shown to be missing) — bandwidth O(diff), where
-// the flat digest/pull exchange in sync_shard_with_peer moves the whole
-// shard.
+// Merkle-tree anti-entropy for the sharded DVM — its only repair
+// exchange. A shard's entries are hashed into leaf buckets (key → bucket
+// by a second, decorrelated hash); leaf digests chain the bucket's
+// key-sorted entries and internal nodes combine their children, so two
+// replicas with equal roots hold byte-equal shards. Repair probes the root
+// (`mnode`), then walks the tree top-down with one packed `mnodes` frame
+// per level — child indexes and digests as 8-byte big-endian blobs, so the
+// descent costs ~16 wire bytes per node instead of a named-param call each
+// — descending only into subtrees whose digests disagree, and finally
+// transfers just the diverged leaf buckets (`mpull` + a vset push-back of
+// what the peer was shown to be missing) — bandwidth O(diff). At one
+// bucket the exchange degenerates to a whole-shard digest and pull.
 #pragma once
 
 #include <cstdint>
@@ -30,21 +29,22 @@ constexpr std::size_t merkle_bucket_count(std::size_t requested) {
 
 /// Upper bound on adaptive bucket counts: a 64k-leaf tree is ~1MB of
 /// digests per shard, plenty of resolution for any shard the sim runs.
+/// The state service rejects a wire `buckets` above it.
 constexpr std::size_t kMaxMerkleBuckets = std::size_t{1} << 16;
 
-/// Bucket count for a shard of `entries` entries aiming at about
-/// `target_per_bucket` entries per leaf: the power of two covering
-/// entries/target, floored at `floor_buckets` (the fixed config count, so
-/// small shards keep their old trees bit-for-bit) and capped at
-/// kMaxMerkleBuckets. target 0 = adaptation off, returns the floor.
-constexpr std::size_t adaptive_merkle_buckets(std::size_t entries,
-                                              std::size_t target_per_bucket,
-                                              std::size_t floor_buckets) {
-  std::size_t floor = merkle_bucket_count(floor_buckets);
-  if (target_per_bucket == 0) return floor;
-  std::size_t want =
-      merkle_bucket_count((entries + target_per_bucket - 1) / target_per_bucket);
-  if (want < floor) want = floor;
+/// Sizing of the sharded mode's trees: never fewer than 32 leaves, and
+/// about 8 entries per leaf once a shard outgrows 256 entries.
+constexpr std::size_t kMerkleMinBuckets = 32;
+constexpr std::size_t kMerkleEntriesPerBucket = 8;
+
+/// Bucket count for a shard of `entries` entries: the power of two
+/// covering entries/kMerkleEntriesPerBucket, floored at kMerkleMinBuckets
+/// and capped at kMaxMerkleBuckets, so a shard that grew 100x diffs at the
+/// same per-leaf granularity.
+constexpr std::size_t adaptive_merkle_buckets(std::size_t entries) {
+  std::size_t want = merkle_bucket_count(
+      (entries + kMerkleEntriesPerBucket - 1) / kMerkleEntriesPerBucket);
+  if (want < kMerkleMinBuckets) want = kMerkleMinBuckets;
   return want < kMaxMerkleBuckets ? want : kMaxMerkleBuckets;
 }
 
@@ -76,9 +76,8 @@ class MerkleTree {
 };
 
 /// Hashes one shard of `store` into a tree of `buckets` leaves (power of
-/// two). Leaf digests chain entries in key order with the same per-entry
-/// mixing as StateStore::shard_digest, so equal leaves ⇔ byte-equal
-/// bucket contents (keys, values, versions, tombstones).
+/// two). Leaf digests chain entries in key order, so equal leaves ⇔
+/// byte-equal bucket contents (keys, values, versions, tombstones).
 MerkleTree build_merkle_tree(const StateStore& store, std::size_t shard,
                              std::size_t shard_count, std::size_t buckets);
 
@@ -99,8 +98,7 @@ struct MerkleSyncStats {
 /// packed mnodes frame per level), then pull the diverged leaf buckets,
 /// LWW-merge them into `local` and push back only the entries the pull
 /// showed the peer to be missing or behind on. After a clean exchange
-/// both replicas hold identical shard snapshots — same postcondition as
-/// sync_shard_with_peer, at O(diff) transfer cost.
+/// both replicas hold identical shard snapshots, at O(diff) transfer cost.
 Result<MerkleSyncStats> merkle_sync_shard_with_peer(net::Channel& peer,
                                                     StateStore& local,
                                                     std::size_t shard,

@@ -78,19 +78,6 @@ struct ShardConfig {
   std::size_t vnodes = 8;     ///< virtual nodes per member on the ring
   std::uint64_t seed = 0x4841524e45535332ULL;  ///< ring placement seed
 
-  /// Merkle anti-entropy: leaf buckets per shard tree (rounded up to a
-  /// power of two). More buckets → finer diffs → fewer bytes repaired per
-  /// diverged key, at the cost of a deeper digest exchange. Acts as the
-  /// *floor*: when merkle_target_per_bucket is set, bucket count adapts
-  /// upward with shard size and never drops below this.
-  std::size_t merkle_buckets = 32;
-
-  /// Adaptive bucket sizing: aim for about this many entries per leaf
-  /// bucket, choosing the nearest power of two ≥ entries/target (floored
-  /// at merkle_buckets, capped at kMaxMerkleBuckets in merkle.hpp). 0
-  /// disables adaptation and pins the fixed merkle_buckets count.
-  std::size_t merkle_target_per_bucket = 8;
-
   /// Hinted-handoff capacity per coordinator (entries kept for each
   /// unreachable owner before the oldest are evicted). Matches the
   /// HintStore default; lowered in tests to force evictions.

@@ -171,8 +171,7 @@ class ShardedCoherency final : public CoherencyProtocol {
       // leaf. The count rides the wire with every mnode/mnodes/mpull call,
       // so both sides always build the same tree.
       const std::size_t buckets = adaptive_merkle_buckets(
-          primary->state().shard_entry_count(s, map_.shard_count()),
-          map_.config().merkle_target_per_bucket, map_.config().merkle_buckets);
+          primary->state().shard_entry_count(s, map_.shard_count()));
       report.max_buckets = std::max(report.max_buckets, buckets);
       bool divergent = false;
       // Two passes: round one accumulates every replica's entries into the

@@ -1,6 +1,7 @@
 #include "dvm/state.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 
 #include "dvm/merkle.hpp"
@@ -72,24 +73,6 @@ std::vector<VersionedEntry> StateStore::shard_snapshot(std::size_t shard,
   return out;
 }
 
-std::uint64_t StateStore::shard_digest(std::size_t shard,
-                                       std::size_t shard_count) const {
-  // Chained mix over the key-sorted snapshot: any difference in keys,
-  // values, versions or tombstone flags changes the digest.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& [key, meta] : versions_) {
-    if (shard_of_key(key, shard_count) != shard) continue;
-    h = mix64(h ^ hash64(key));
-    h = mix64(h ^ meta.version.ts);
-    h = mix64(h ^ meta.version.writer);
-    h = mix64(h ^ (meta.deleted ? 1u : 0u));
-    if (!meta.deleted) {
-      if (auto it = map_.find(key); it != map_.end()) h = mix64(h ^ hash64(it->second));
-    }
-  }
-  return h;
-}
-
 std::size_t StateStore::shard_entry_count(std::size_t shard,
                                           std::size_t shard_count) const {
   std::size_t count = 0;
@@ -115,6 +98,9 @@ std::string encode_entries(std::span<const VersionedEntry> entries) {
 
 namespace {
 
+/// Smallest encoded entry: "0 0 0 0 0\n" with an empty key and value.
+constexpr std::size_t kMinEntryBytes = 10;
+
 Result<std::uint64_t> take_number(std::string_view& rest, char terminator) {
   std::size_t end = rest.find(terminator);
   if (end == std::string_view::npos) return err::invalid_argument("shard blob: truncated");
@@ -127,6 +113,30 @@ Result<std::uint64_t> take_number(std::string_view& rest, char terminator) {
   return value;
 }
 
+/// The leading integer params of a Merkle op (shard, shards, buckets, then
+/// level/index or bucket), with `buckets` checked and rounded before any
+/// tree is built: past 2^63 the rounding would never finish, and a peer's
+/// 2^40 would size a tree of 2^41 nodes.
+template <std::size_t N>
+Result<std::array<std::size_t, N>> merkle_args(std::span<const Value> params,
+                                               std::size_t arity, std::string_view usage) {
+  if (params.size() != arity) return err::invalid_argument(std::string(usage));
+  std::array<std::size_t, N> args{};
+  for (std::size_t i = 0; i < N; ++i) {
+    auto value = params[i].as_int();
+    if (!value.ok()) return value.error();
+    args[i] = static_cast<std::size_t>(*value);
+  }
+  if (args[2] < 1 || args[2] > kMaxMerkleBuckets) {
+    return err::invalid_argument(
+        std::string(usage.substr(0, usage.find('('))) + ": buckets " +
+        std::to_string(static_cast<std::int64_t>(args[2])) + " outside [1, " +
+        std::to_string(kMaxMerkleBuckets) + "]");
+  }
+  args[2] = merkle_bucket_count(args[2]);
+  return args;
+}
+
 }  // namespace
 
 Result<std::vector<VersionedEntry>> decode_entries(std::string_view blob) {
@@ -136,6 +146,13 @@ Result<std::vector<VersionedEntry>> decode_entries(std::string_view blob) {
   blob.remove_prefix(5);
   auto count = take_number(blob, '\n');
   if (!count.ok()) return count.error();
+  // The count is the peer's claim: check it against what the bytes that
+  // follow can hold before reserving for it.
+  if (*count > blob.size() / kMinEntryBytes) {
+    return err::invalid_argument("shard blob: count " + std::to_string(*count) +
+                                 " exceeds a " + std::to_string(blob.size()) +
+                                 "-byte payload");
+  }
   std::vector<VersionedEntry> out;
   out.reserve(*count);
   for (std::uint64_t i = 0; i < *count; ++i) {
@@ -239,43 +256,13 @@ std::shared_ptr<net::DispatcherMux> make_state_service(
     return Value::of_string(std::to_string(v.ts) + " " + std::to_string(v.writer),
                             "version");
   });
-  service->add("digest", [state](std::span<const Value> params) -> Result<Value> {
-    if (params.size() != 2) return err::invalid_argument("digest(shard, shards)");
-    auto shard = params[0].as_int();
-    if (!shard.ok()) return shard.error();
-    auto shards = params[1].as_int();
-    if (!shards.ok()) return shards.error();
-    std::uint64_t digest = state->shard_digest(static_cast<std::size_t>(*shard),
-                                               static_cast<std::size_t>(*shards));
-    return Value::of_int(static_cast<std::int64_t>(digest), "digest");
-  });
-  service->add("pull", [state](std::span<const Value> params) -> Result<Value> {
-    if (params.size() != 2) return err::invalid_argument("pull(shard, shards)");
-    auto shard = params[0].as_int();
-    if (!shard.ok()) return shard.error();
-    auto shards = params[1].as_int();
-    if (!shards.ok()) return shards.error();
-    auto snapshot = state->shard_snapshot(static_cast<std::size_t>(*shard),
-                                          static_cast<std::size_t>(*shards));
-    return Value::of_string(encode_entries(snapshot), "entries");
-  });
   // Merkle anti-entropy surface: node digests for the top-down descent and
   // per-bucket pulls so a diverged shard transfers only diverged buckets.
   service->add("mnode", [state](std::span<const Value> params) -> Result<Value> {
-    if (params.size() != 5) {
-      return err::invalid_argument("mnode(shard, shards, buckets, level, index)");
-    }
-    std::int64_t args[5];
-    for (std::size_t i = 0; i < 5; ++i) {
-      auto value = params[i].as_int();
-      if (!value.ok()) return value.error();
-      args[i] = *value;
-    }
-    std::size_t buckets = merkle_bucket_count(static_cast<std::size_t>(args[2]));
-    MerkleTree tree = build_merkle_tree(*state, static_cast<std::size_t>(args[0]),
-                                        static_cast<std::size_t>(args[1]), buckets);
-    auto level = static_cast<std::size_t>(args[3]);
-    auto index = static_cast<std::size_t>(args[4]);
+    auto args = merkle_args<5>(params, 5, "mnode(shard, shards, buckets, level, index)");
+    if (!args.ok()) return args.error();
+    const auto& [shard, shards, buckets, level, index] = *args;
+    MerkleTree tree = build_merkle_tree(*state, shard, shards, buckets);
     if (level > tree.depth() || index >= (std::size_t{1} << level)) {
       return err::invalid_argument("mnode: node out of range");
     }
@@ -287,24 +274,15 @@ std::shared_ptr<net::DispatcherMux> make_state_service(
   // per-node named-param framing of "mnode" would otherwise dominate the
   // exchange's bytes and defeat the O(diff) bandwidth claim.
   service->add("mnodes", [state](std::span<const Value> params) -> Result<Value> {
-    if (params.size() != 5) {
-      return err::invalid_argument("mnodes(shard, shards, buckets, level, indexes)");
-    }
-    std::int64_t args[4];
-    for (std::size_t i = 0; i < 4; ++i) {
-      auto value = params[i].as_int();
-      if (!value.ok()) return value.error();
-      args[i] = *value;
-    }
+    auto args = merkle_args<4>(params, 5, "mnodes(shard, shards, buckets, level, indexes)");
+    if (!args.ok()) return args.error();
+    const auto& [shard, shards, buckets, level] = *args;
     auto blob = params[4].as_string();
     if (!blob.ok()) return blob.error();
     if (blob->size() % 8 != 0) {
       return err::invalid_argument("mnodes: index blob not a multiple of 8");
     }
-    std::size_t buckets = merkle_bucket_count(static_cast<std::size_t>(args[2]));
-    MerkleTree tree = build_merkle_tree(*state, static_cast<std::size_t>(args[0]),
-                                        static_cast<std::size_t>(args[1]), buckets);
-    auto level = static_cast<std::size_t>(args[3]);
+    MerkleTree tree = build_merkle_tree(*state, shard, shards, buckets);
     if (level > tree.depth()) return err::invalid_argument("mnodes: level out of range");
     std::string digests;
     digests.reserve(blob->size());
@@ -324,22 +302,12 @@ std::shared_ptr<net::DispatcherMux> make_state_service(
     return Value::of_string(std::move(digests), "digests");
   });
   service->add("mpull", [state](std::span<const Value> params) -> Result<Value> {
-    if (params.size() != 4) {
-      return err::invalid_argument("mpull(shard, shards, buckets, bucket)");
-    }
-    std::int64_t args[4];
-    for (std::size_t i = 0; i < 4; ++i) {
-      auto value = params[i].as_int();
-      if (!value.ok()) return value.error();
-      args[i] = *value;
-    }
-    std::size_t buckets = merkle_bucket_count(static_cast<std::size_t>(args[2]));
-    auto bucket = static_cast<std::size_t>(args[3]);
+    auto args = merkle_args<4>(params, 4, "mpull(shard, shards, buckets, bucket)");
+    if (!args.ok()) return args.error();
+    const auto& [shard, shards, buckets, bucket] = *args;
     if (bucket >= buckets) return err::invalid_argument("mpull: bucket out of range");
-    auto snapshot = state->shard_snapshot(static_cast<std::size_t>(args[0]),
-                                          static_cast<std::size_t>(args[1]));
     std::vector<VersionedEntry> out;
-    for (VersionedEntry& entry : snapshot) {
+    for (VersionedEntry& entry : state->shard_snapshot(shard, shards)) {
       if (bucket_of_key(entry.key, buckets) == bucket) out.push_back(std::move(entry));
     }
     return Value::of_string(encode_entries(out), "entries");
@@ -347,16 +315,7 @@ std::shared_ptr<net::DispatcherMux> make_state_service(
   return service;
 }
 
-// ---- pairwise anti-entropy exchange --------------------------------------------
-
-namespace {
-
-std::vector<Value> shard_params(std::size_t shard, std::size_t shard_count) {
-  return {Value::of_int(static_cast<std::int64_t>(shard), "shard"),
-          Value::of_int(static_cast<std::int64_t>(shard_count), "shards")};
-}
-
-}  // namespace
+// ---- batched pushes -------------------------------------------------------------
 
 net::BatchItem vset_item(const VersionedEntry& entry) {
   net::BatchItem item;
@@ -371,71 +330,15 @@ net::BatchItem vset_item(const VersionedEntry& entry) {
   return item;
 }
 
-Result<ShardSyncStats> sync_shard_with_peer(net::Channel& peer, StateStore& local,
-                                            std::size_t shard,
-                                            std::size_t shard_count) {
-  ShardSyncStats stats;
-  const std::vector<Value> params = shard_params(shard, shard_count);
-  auto remote_digest = peer.invoke("digest", params);
-  if (!remote_digest.ok()) {
-    return remote_digest.error().context("anti-entropy digest, shard " +
-                                         std::to_string(shard));
+Status push_batch(net::Channel& peer, std::span<const net::BatchItem> calls,
+                  std::string_view context,
+                  const std::function<std::string(std::size_t)>& item_context) {
+  std::vector<Result<Value>> results;
+  if (auto status = peer.invoke_batch(calls, results); !status.ok()) {
+    return status.error().context(context);
   }
-  auto digest_value = remote_digest->as_int();
-  if (!digest_value.ok()) return digest_value.error();
-  if (static_cast<std::uint64_t>(*digest_value) ==
-      local.shard_digest(shard, shard_count)) {
-    return stats;  // replicas already byte-equal
-  }
-  stats.differed = true;
-
-  // Pull the peer's shard and LWW-merge it; newer local entries survive.
-  auto blob = peer.invoke("pull", params);
-  if (!blob.ok()) {
-    return blob.error().context("anti-entropy pull, shard " + std::to_string(shard));
-  }
-  auto blob_str = blob->as_string();
-  if (!blob_str.ok()) return blob_str.error();
-  auto entries = decode_entries(*blob_str);
-  if (!entries.ok()) return entries.error();
-  stats.pulled = entries->size();
-  for (const VersionedEntry& entry : *entries) {
-    if (local.apply(entry)) ++stats.merged;
-  }
-
-  // Push the merged shard back in batched frames; the peer's LWW merge
-  // drops anything it already holds.
-  auto snapshot = local.shard_snapshot(shard, shard_count);
-  if (!snapshot.empty()) {
-    if (auto status = push_entries_batched(
-            peer, snapshot, "anti-entropy push, shard " + std::to_string(shard));
-        !status.ok()) {
-      return status.error();
-    }
-    stats.pushed = snapshot.size();
-  }
-  return stats;
-}
-
-Status push_entries_batched(net::Channel& peer,
-                            std::span<const VersionedEntry> entries,
-                            std::string_view context) {
-  for (std::size_t offset = 0; offset < entries.size();
-       offset += net::kMaxBatchCalls) {
-    const std::size_t count =
-        std::min<std::size_t>(net::kMaxBatchCalls, entries.size() - offset);
-    std::vector<net::BatchItem> calls;
-    calls.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      calls.push_back(vset_item(entries[offset + i]));
-    }
-    std::vector<Result<Value>> results;
-    if (auto status = peer.invoke_batch(calls, results); !status.ok()) {
-      return status.error().context(std::string(context));
-    }
-    for (const auto& result : results) {
-      if (!result.ok()) return result.error().context(std::string(context));
-    }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) return results[i].error().context(item_context(i));
   }
   return Status::success();
 }
@@ -481,7 +384,6 @@ Status DvmNode::remote_set(DvmNode& target, std::string_view key,
 }
 
 Status DvmNode::remote_set_batch(DvmNode& target, std::span<const KV> writes) {
-  if (writes.empty()) return Status::success();
   std::vector<net::BatchItem> calls;
   calls.reserve(writes.size());
   for (const KV& kv : writes) {
@@ -491,18 +393,10 @@ Status DvmNode::remote_set_batch(DvmNode& target, std::span<const KV> writes) {
     item.params.push_back(Value::of_string(std::string(kv.value), "value"));
     calls.push_back(std::move(item));
   }
-  std::vector<Result<Value>> results;
-  if (auto status = open_state_channel(target)->invoke_batch(calls, results);
-      !status.ok()) {
-    return status.error().context("batched set to " + target.name());
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      return results[i].error().context("batched set of '" +
-                                        std::string(writes[i].key) + "'");
-    }
-  }
-  return Status::success();
+  return push_batch(*open_state_channel(target), calls, "batched set to " + target.name(),
+                    [&](std::size_t i) {
+                      return "batched set of '" + std::string(writes[i].key) + "'";
+                    });
 }
 
 Result<std::string> DvmNode::remote_get(DvmNode& target, std::string_view key) {
@@ -549,21 +443,11 @@ Result<VersionedEntry> DvmNode::remote_vget(DvmNode& target, std::string_view ke
 
 Status DvmNode::remote_vset_batch(DvmNode& target,
                                   std::span<const VersionedEntry> entries) {
-  if (entries.empty()) return Status::success();
   std::vector<net::BatchItem> calls;
   calls.reserve(entries.size());
   for (const VersionedEntry& entry : entries) calls.push_back(vset_item(entry));
-  auto channel = open_state_channel(target);
-  std::vector<Result<Value>> results;
-  if (auto status = channel->invoke_batch(calls, results); !status.ok()) {
-    return status.error().context("batched vset to " + target.name());
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      return results[i].error().context("batched vset of '" + entries[i].key + "'");
-    }
-  }
-  return Status::success();
+  return push_batch(*open_state_channel(target), calls, "batched vset to " + target.name(),
+                    [&](std::size_t i) { return "batched vset of '" + entries[i].key + "'"; });
 }
 
 }  // namespace h2::dvm

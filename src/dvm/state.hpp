@@ -3,10 +3,12 @@
 // coherency protocols in coherency.hpp are built from exactly these two
 // primitives — local access and remote access — combined in different
 // proportions. The sharded mode adds versioned last-write-wins entries
-// (logical timestamp + writer id, tombstones for deletes) and per-shard
-// digest/pull operations, the wire surface of anti-entropy repair.
+// (logical timestamp + writer id, tombstones for deletes) and the Merkle
+// node/bucket operations (mnode, mnodes, mpull; merkle.hpp), the wire
+// surface of anti-entropy repair.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -46,7 +48,7 @@ struct Version {
   }
 };
 
-/// One versioned entry as it crosses the wire (vset, pull) and as the
+/// One versioned entry as it crosses the wire (vset, mpull) and as the
 /// convergence invariant compares replicas. `deleted` entries are
 /// tombstones: the version survives so a late stale write loses.
 struct VersionedEntry {
@@ -106,12 +108,9 @@ class StateStore {
   std::uint64_t clock() const { return clock_; }
 
   /// Every versioned entry of one shard (tombstones included), key-sorted —
-  /// the unit anti-entropy digests, pulls and compares.
+  /// the unit anti-entropy hashes, pulls and compares.
   std::vector<VersionedEntry> shard_snapshot(std::size_t shard,
                                              std::size_t shard_count) const;
-  /// Order-independent-free digest over the (key-sorted) shard snapshot:
-  /// equal digests ⇔ byte-equal replicas, version metadata included.
-  std::uint64_t shard_digest(std::size_t shard, std::size_t shard_count) const;
 
   /// How many versioned entries (tombstones included) one shard holds —
   /// what the adaptive Merkle sizing feeds on. O(versioned entries).
@@ -127,49 +126,35 @@ class StateStore {
   std::uint64_t clock_ = 0;  ///< Lamport: max ts seen or assigned
 };
 
-/// Wire codec for shard pulls/pushes: a length-prefixed, binary-safe blob
-/// of VersionedEntry records (one "pull" reply carries a whole shard).
+/// Wire codec for shard transfers: a length-prefixed, binary-safe blob of
+/// VersionedEntry records (one "mpull" reply carries a leaf bucket, one
+/// "vget" reply a single entry). decode_entries takes a peer's bytes: a
+/// count the payload cannot hold is a "shard blob:" error, not a reserve.
 std::string encode_entries(std::span<const VersionedEntry> entries);
 Result<std::vector<VersionedEntry>> decode_entries(std::string_view blob);
 
-/// One "vset" sub-call of a batched LWW push — shared by the anti-entropy
-/// exchanges (flat and Merkle) and the hint-replay path.
+/// One "vset" sub-call of a batched LWW push — shared by the Merkle
+/// push-back, replication, handoff and the hint-replay path.
 net::BatchItem vset_item(const VersionedEntry& entry);
 
-/// Pushes `entries` to the peer as batched "vset" frames, chunked so no
-/// frame exceeds the wire's batch-call limit (a whole-shard push can be
-/// tens of thousands of entries). Fails on the first frame or sub-call
-/// error, with `context` prefixed.
-Status push_entries_batched(net::Channel& peer,
-                            std::span<const VersionedEntry> entries,
-                            std::string_view context);
+/// The one DVM batch push: applies `calls` on a peer's state service as
+/// one invoke_batch (the XDR channel frames it at the wire's call limit,
+/// so a batch of any size lands). Fails on the transport error, prefixed
+/// with `context`, or on the first failed sub-call, prefixed with
+/// `item_context(i)`.
+Status push_batch(net::Channel& peer, std::span<const net::BatchItem> calls,
+                  std::string_view context,
+                  const std::function<std::string(std::size_t)>& item_context);
 
 /// Builds the state service dispatcher over `store`: the classic
 /// set/get/ping/del plus the sharded-mode surface — vset (LWW delta),
 /// vget (versioned read), wset (server-assigned version, stamped with
-/// `self_writer`), digest and pull. Factored out of DvmNode so tests can
-/// serve the same service over
-/// any Transport (the sim/tcp/uds-parametrized anti-entropy suite).
+/// `self_writer`) and the Merkle ops mnode, mnodes and mpull, which reject
+/// a `buckets` outside [1, kMaxMerkleBuckets] before building a tree.
+/// Factored out of DvmNode so tests can serve the same service over any
+/// Transport (the sim/tcp/uds-parametrized anti-entropy suite).
 std::shared_ptr<net::DispatcherMux> make_state_service(
     std::shared_ptr<StateStore> store, std::uint64_t self_writer);
-
-/// Stats of one pairwise shard synchronization (sync_shard_with_peer).
-struct ShardSyncStats {
-  bool differed = false;       ///< digests disagreed before the exchange
-  std::size_t pulled = 0;      ///< entries fetched from the peer
-  std::size_t merged = 0;      ///< pulled entries that won locally (LWW)
-  std::size_t pushed = 0;      ///< entries sent back to the peer
-};
-
-/// One anti-entropy exchange against a peer's state service reachable over
-/// `peer` (any binding, any transport): compare per-shard digests, pull
-/// the peer's divergent shard and LWW-merge it into `local`, then push the
-/// merged shard back. After a clean exchange both replicas hold identical
-/// shard snapshots. Used by the sharded coherency protocol over the sim
-/// network and by the transport-parametrized tests over real sockets.
-Result<ShardSyncStats> sync_shard_with_peer(net::Channel& peer, StateStore& local,
-                                            std::size_t shard,
-                                            std::size_t shard_count);
 
 /// One enrolled DVM member: a borrowed container plus this node's state
 /// store and its state service endpoint.
@@ -196,8 +181,9 @@ class DvmNode {
 
   /// set on a peer node's store, issued from this node.
   Status remote_set(DvmNode& target, std::string_view key, std::string_view value);
-  /// All of `writes` applied on a peer in ONE wire message (an XDR batch
-  /// frame of "set" sub-calls) — the transport leg of write coalescing.
+  /// All of `writes` applied on a peer as ONE batch (an XDR "H2RB" frame
+  /// of "set" sub-calls per kMaxBatchCalls writes) — the transport leg of
+  /// write coalescing.
   Status remote_set_batch(DvmNode& target, std::span<const KV> writes);
   /// get from a peer node's store, issued from this node.
   Result<std::string> remote_get(DvmNode& target, std::string_view key);
@@ -212,10 +198,10 @@ class DvmNode {
   /// Versioned read from a peer (sharded mode): the full entry including
   /// version and tombstone flag — what the read-repair path compares.
   Result<VersionedEntry> remote_vget(DvmNode& target, std::string_view key);
-  /// All of `entries` LWW-applied on a peer in ONE wire message.
+  /// All of `entries` LWW-applied on a peer as ONE batch (push_batch).
   Status remote_vset_batch(DvmNode& target, std::span<const VersionedEntry> entries);
   /// Channel to a peer's state service, from this node's vantage — the
-  /// handle sync_shard_with_peer and the shard-routing layer drive.
+  /// handle merkle_sync_shard_with_peer and the shard-routing layer drive.
   std::unique_ptr<net::Channel> open_state_channel(DvmNode& target);
 
  private:

@@ -111,34 +111,25 @@ ByteBuffer serve_xdr_frame(std::span<const std::uint8_t> raw, Dispatcher& dispat
   return out.take();
 }
 
-/// Client half: turns the server's answer into per-call results. Accepts
-/// either an "H2RZ" frame (count must match) or a bare "H2RP" error reply
-/// covering the whole batch.
+/// Client half: appends the server's per-call results to `results`.
+/// Accepts either an "H2RZ" frame (count must match) or a bare "H2RP"
+/// error reply covering the whole batch; on any error nothing is appended
+/// and the caller fans the error out.
 Status demux_batch_reply(std::span<const std::uint8_t> bytes, std::size_t expected,
                          std::vector<Result<Value>>& results) {
   if (!is_batch_reply(bytes)) {
     auto outcome = unmarshal_reply(bytes);
-    Error error = outcome.ok()
-                      ? Error(ErrorCode::kParseError,
-                              "xdr frame: singleton reply to a batch call")
-                      : outcome.error();
-    fill_results(results, expected, error);
-    return error;
+    if (outcome.ok()) {
+      return err::parse("xdr frame: singleton reply to a batch call");
+    }
+    return outcome.error();
   }
   auto frames = split_batch_reply(bytes);
-  if (!frames.ok()) {
-    fill_results(results, expected, frames.error());
-    return frames.error();
-  }
+  if (!frames.ok()) return frames.error();
   if (frames->size() != expected) {
-    Error error(ErrorCode::kParseError,
-                "xdr frame: batch reply count " + std::to_string(frames->size()) +
-                    " != request count " + std::to_string(expected));
-    fill_results(results, expected, error);
-    return error;
+    return err::parse("xdr frame: batch reply count " + std::to_string(frames->size()) +
+                      " != request count " + std::to_string(expected));
   }
-  results.clear();
-  results.reserve(expected);
   for (std::span<const std::uint8_t> frame : *frames) {
     results.push_back(unmarshal_reply(frame));
   }
@@ -190,19 +181,31 @@ class XdrChannel final : public Channel {
     return reply;
   }
 
+  /// One "H2RB" frame per kMaxBatchCalls calls, in order: the wire caps a
+  /// frame's sub-calls there, so a larger batch goes out as consecutive
+  /// frames. A frame that fails fails the whole batch (every result gets
+  /// its error), exactly as a single frame's failure would.
   Status invoke_batch(std::span<const BatchItem> calls,
                       std::vector<Result<Value>>& results) override {
     results.clear();
-    if (calls.empty()) return Status::success();
-    auto response = round_trip(marshal_batch_call(calls, net_.buffer_pool().acquire()),
-                               {}, /*batch=*/true);
-    if (!response.ok()) {
-      fill_results(results, calls.size(), response.error());
-      return response.error();
+    results.reserve(calls.size());
+    for (std::size_t offset = 0; offset < calls.size(); offset += kMaxBatchCalls) {
+      auto frame = calls.subspan(
+          offset, std::min<std::size_t>(kMaxBatchCalls, calls.size() - offset));
+      auto response = round_trip(marshal_batch_call(frame, net_.buffer_pool().acquire()),
+                                 {}, /*batch=*/true);
+      if (!response.ok()) {
+        fill_results(results, calls.size(), response.error());
+        return response.error();
+      }
+      Status verdict = demux_batch_reply(response->bytes(), frame.size(), results);
+      net_.buffer_pool().release(std::move(*response));
+      if (!verdict.ok()) {
+        fill_results(results, calls.size(), verdict.error());
+        return verdict;
+      }
     }
-    Status verdict = demux_batch_reply(response->bytes(), calls.size(), results);
-    net_.buffer_pool().release(std::move(*response));
-    return verdict;
+    return Status::success();
   }
 
   const char* binding_name() const override { return "xdr"; }

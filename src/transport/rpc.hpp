@@ -99,9 +99,10 @@ class Channel {
   virtual const Endpoint* remote() const { return nullptr; }
 
   /// Invokes `calls` as one logical round — wire bindings override this to
-  /// pack all calls into ONE message (XDR "H2RB" frame / SOAP batch
-  /// envelope), amortizing the per-call stub/encoder/socket/server
-  /// overhead the paper's Section 5 localizes.
+  /// pack the calls into as few messages as the wire allows (XDR: one
+  /// "H2RB" frame per kMaxBatchCalls calls; SOAP: one batch envelope),
+  /// amortizing the per-call stub/encoder/socket/server overhead the
+  /// paper's Section 5 localizes. Callers never split a batch themselves.
   ///
   /// The returned Status is the TRANSPORT outcome: an error means no
   /// per-call verdicts exist (the whole batch may be retried under its

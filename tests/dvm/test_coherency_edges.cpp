@@ -18,7 +18,8 @@ class CoherencyEdgeTest : public ::testing::Test {
                              std::size_t nodes) {
     auto dvm = std::make_unique<Dvm>("edge", std::move(protocol));
     for (std::size_t i = 0; i < nodes; ++i) {
-      std::string name = "e" + std::to_string(next_host_++);
+      std::string name = "e";
+      name += std::to_string(next_host_++);
       containers_.push_back(std::make_unique<container::Container>(
           name, repo_, net_, *net_.add_host(name)));
       EXPECT_TRUE(dvm->add_node(*containers_.back()).ok());
@@ -218,6 +219,30 @@ TEST_F(CoherencyEdgeTest, ShardedBatchCoalescesToLastWritePerKey) {
     EXPECT_EQ(*dvm->get(name, "hot"), "v3") << name;
     EXPECT_EQ(*dvm->get(name, "cold"), "c") << name;
   }
+}
+
+TEST_F(CoherencyEdgeTest, ShardedJoinHandsOffAShardLargerThanOneWireFrame) {
+  // One shard of 5000 writes (plus the founder's membership key) is more
+  // than one XDR batch frame may carry (net::kMaxBatchCalls): the joiner
+  // must still receive all of it in the handoff, with nothing parked as a
+  // hint and nothing evicted.
+  auto dvm = build(make_sharded(ShardConfig{.shards = 1, .replicas = 2}), 1);
+  auto founder = dvm->node_names()[0];
+  for (int i = 0; i < 5000; ++i) {
+    std::string key = "bulk/";
+    key += std::to_string(i);
+    ASSERT_TRUE(dvm->set(founder, key, "v").ok());
+  }
+  containers_.push_back(std::make_unique<container::Container>(
+      "late", repo_, net_, *net_.add_host("late")));
+  ASSERT_TRUE(dvm->add_node(*containers_.back()).ok());
+  EXPECT_EQ(net_.metrics().counter_value("h2.dvm.shard.handoff.entries"), 5001u);
+  EXPECT_EQ(net_.metrics().counter_value("h2.dvm.shard.hints.parked"), 0u);
+  EXPECT_EQ(net_.metrics().counter_value("h2.dvm.shard.hint_evictions"), 0u);
+  EXPECT_EQ(dvm->member("late")->state().size(),
+            dvm->member(founder)->state().size());
+  EXPECT_TRUE(dvm->member("late")->state().shard_snapshot(0, 1) ==
+              dvm->member(founder)->state().shard_snapshot(0, 1));
 }
 
 TEST_F(CoherencyEdgeTest, ProtocolObjectsAreReusableAcrossMembershipChanges) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "dvm/merkle.hpp"
 #include "plugins/standard.hpp"
 
 namespace h2::dvm {
@@ -87,6 +88,31 @@ TEST_P(DvmAllProtocols, SetThenGetFromAnyNode) {
     auto value = dvm_->get(node, "app/phase");
     ASSERT_TRUE(value.ok()) << node << ": " << value.error().describe();
     EXPECT_EQ(*value, "3") << node;
+  }
+}
+
+TEST_P(DvmAllProtocols, SetBatchLargerThanOneWireFrameReachesEveryMember) {
+  // More writes than one XDR batch frame may carry (net::kMaxBatchCalls):
+  // the replication legs must still land whole on every peer.
+  constexpr std::size_t kWrites = 5000;
+  std::vector<std::string> keys;
+  keys.reserve(kWrites);
+  for (std::size_t i = 0; i < kWrites; ++i) {
+    std::string key = "bulk/";
+    key += std::to_string(i);
+    keys.push_back(std::move(key));
+  }
+  std::vector<KV> writes;
+  writes.reserve(kWrites);
+  for (const std::string& key : keys) writes.push_back({key, key});
+  auto status = dvm_->set_batch("A", writes);
+  ASSERT_TRUE(status.ok()) << status.error().describe();
+  for (const auto& node : dvm_->node_names()) {
+    for (const std::string& key : keys) {
+      auto value = dvm_->get(node, key);
+      ASSERT_TRUE(value.ok()) << node << " " << key << ": " << value.error().describe();
+      EXPECT_EQ(*value, key) << node;
+    }
   }
 }
 
@@ -387,16 +413,14 @@ TEST_F(ShardedTest, AntiEntropyOnConvergedClusterReportsNoDivergence) {
 }
 
 TEST(ShardedAdaptiveMerkle, MaxBucketsGrowsWithShardSize) {
-  // Adaptive leaf sizing: an empty cluster digests at the configured
-  // floor; once shards fill past target_per_bucket the per-shard bucket
-  // count (surfaced via AntiEntropyReport::max_buckets) scales up.
+  // Adaptive leaf sizing: an empty cluster digests at kMerkleMinBuckets;
+  // once a shard passes kMerkleMinBuckets * kMerkleEntriesPerBucket (256)
+  // entries its bucket count (surfaced via AntiEntropyReport::max_buckets)
+  // doubles.
   net::SimNetwork net;
   kernel::PluginRepository repo;
   ASSERT_TRUE(plugins::register_standard_plugins(repo).ok());
-  Dvm dvm("am", make_sharded(ShardConfig{.shards = 2,
-                                         .replicas = 2,
-                                         .merkle_buckets = 4,
-                                         .merkle_target_per_bucket = 2}));
+  Dvm dvm("am", make_sharded(ShardConfig{.shards = 2, .replicas = 2}));
   std::vector<std::unique_ptr<container::Container>> containers;
   for (const char* name : {"A", "B"}) {
     auto host = *net.add_host(name);
@@ -407,15 +431,18 @@ TEST(ShardedAdaptiveMerkle, MaxBucketsGrowsWithShardSize) {
 
   auto before = run_anti_entropy(dvm);
   ASSERT_TRUE(before.ok()) << before.error().describe();
-  EXPECT_EQ(before->max_buckets, 4u);  // empty shards sit at the floor
+  EXPECT_EQ(before->max_buckets, kMerkleMinBuckets);  // empty shards sit at the floor
 
-  for (int i = 0; i < 128; ++i) {
-    ASSERT_TRUE(dvm.set("A", "am/" + std::to_string(i), "v").ok());
+  for (int i = 0; i < 640; ++i) {
+    std::string key = "am/";
+    key += std::to_string(i);
+    ASSERT_TRUE(dvm.set("A", key, "v").ok());
   }
   auto after = run_anti_entropy(dvm);
   ASSERT_TRUE(after.ok()) << after.error().describe();
-  // ~64 entries per shard at 2 per bucket wants ≥ 32 leaves.
-  EXPECT_GE(after->max_buckets, 32u);
+  // ~320 entries per shard at 8 per bucket wants 40 leaves: the next
+  // power of two is 64.
+  EXPECT_EQ(after->max_buckets, 64u);
 }
 
 TEST_F(ShardedTest, LeaveHandsOffToTheReplacementOwner) {
@@ -423,7 +450,9 @@ TEST_F(ShardedTest, LeaveHandsOffToTheReplacementOwner) {
   // readable: departures trigger bounded handoff to the new owner sets.
   for (int i = 0; i < 12; ++i) {
     std::string key = "key/" + std::to_string(i);
-    ASSERT_TRUE(dvm_->set("A", key, "v" + std::to_string(i)).ok());
+    std::string value = "v";
+    value += std::to_string(i);
+    ASSERT_TRUE(dvm_->set("A", key, value).ok());
   }
   ASSERT_TRUE(dvm_->remove_node("D").ok());
   const ShardMap* map = dvm_->shard_map();
@@ -432,7 +461,9 @@ TEST_F(ShardedTest, LeaveHandsOffToTheReplacementOwner) {
     std::string key = "key/" + std::to_string(i);
     auto value = dvm_->get("A", key);
     ASSERT_TRUE(value.ok()) << key << ": " << value.error().describe();
-    EXPECT_EQ(*value, "v" + std::to_string(i));
+    std::string expected = "v";
+    expected += std::to_string(i);
+    EXPECT_EQ(*value, expected);
     // And the new owner set really holds it.
     for (const auto& owner : map->owners(map->shard_of(key))) {
       EXPECT_TRUE(dvm_->member(owner)->state().get(key).has_value())

@@ -127,7 +127,9 @@ TEST(HintStore, SameKeyDifferentTargetsAreDistinctHints) {
 TEST(HintStore, OverflowEvictsOldestFirst) {
   HintStore store(/*max_per_coordinator=*/3);
   for (int i = 0; i < 5; ++i) {
-    store.park("node-a", "node-x", entry("k" + std::to_string(i), "v", 1));
+    std::string key = "k";
+    key += std::to_string(i);
+    store.park("node-a", "node-x", entry(std::move(key), "v", 1));
   }
   EXPECT_EQ(store.pending_for("node-a"), 3u);
   EXPECT_EQ(store.evicted(), 2u);
@@ -205,14 +207,17 @@ TEST(HintStore, ForcedEvictionBumpsTheSharedCounter) {
                 .shards = 4, .replicas = 2, .hint_capacity = 2}));
   std::vector<std::unique_ptr<container::Container>> containers;
   for (std::size_t i = 0; i < 4; ++i) {
-    std::string name = "n" + std::to_string(i);
+    std::string name = "n";
+    name += std::to_string(i);
     auto host = *net.add_host(name);
     containers.push_back(
         std::make_unique<container::Container>(name, repo, net, host));
     ASSERT_TRUE(dvm->add_node(*containers.back()).ok());
   }
   for (std::size_t i = 1; i < 4; ++i) {
-    ASSERT_TRUE(net.partition(*net.resolve("n0"), *net.resolve("n" + std::to_string(i))).ok());
+    std::string peer = "n";
+    peer += std::to_string(i);
+    ASSERT_TRUE(net.partition(*net.resolve("n0"), *net.resolve(peer)).ok());
   }
   // Every remote owner is unreachable from n0, so each write parks one
   // hint per missed owner; with a 2-entry budget the surplus evicts.

@@ -1,15 +1,18 @@
 // Merkle-tree anti-entropy: tree construction properties (equal stores ⇔
-// equal roots, a single mutation dirties exactly one leaf) and the wire
-// exchange's two promises — the same byte-equal convergence
-// sync_shard_with_peer delivers, at O(diff) transfer cost when the
-// divergence is small. The bandwidth claims are asserted here with the
-// exchange's own byte accounting; bench_sharding measures them against
-// the flat exchange on the sim network.
+// equal roots, a single mutation dirties exactly one leaf), the wire
+// exchange's two promises — byte-equal convergence, at O(diff) transfer
+// cost when the divergence is small — and the state service's bounds on
+// what a hostile peer sends (bucket counts, shard blob counts). The
+// bandwidth claims are asserted here with the exchange's own byte
+// accounting; bench_sharding measures them against a whole-shard exchange
+// on the sim network.
 #include "dvm/merkle.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dvm/state.hpp"
@@ -26,7 +29,9 @@ std::string key_of(std::size_t i) { return "key/" + std::to_string(i); }
 
 void fill(StateStore& store, std::size_t count, std::uint64_t writer) {
   for (std::size_t i = 0; i < count; ++i) {
-    store.apply({key_of(i), "v" + std::to_string(i), {10 + i, writer}, false});
+    std::string value = "v";
+    value += std::to_string(i);
+    store.apply({key_of(i), std::move(value), {10 + i, writer}, false});
   }
 }
 
@@ -49,19 +54,15 @@ TEST(MerkleTree, BucketCountRoundsUpToPowerOfTwo) {
 }
 
 TEST(MerkleTree, AdaptiveBucketsScaleWithShardSize) {
-  // Floor: small shards stay at the configured (power-of-two-rounded)
-  // minimum regardless of target.
-  EXPECT_EQ(adaptive_merkle_buckets(0, 8, 32), 32u);
-  EXPECT_EQ(adaptive_merkle_buckets(100, 8, 32), 32u);  // 13 wanted < floor
-  EXPECT_EQ(adaptive_merkle_buckets(10, 8, 33), 64u);   // floor rounds up too
-  // Growth: nearest power of two at or above entries/target.
-  EXPECT_EQ(adaptive_merkle_buckets(256, 8, 32), 32u);
-  EXPECT_EQ(adaptive_merkle_buckets(257, 8, 32), 64u);
-  EXPECT_EQ(adaptive_merkle_buckets(10'000, 8, 32), 2048u);  // 1250 → 2048
-  // Target 0 disables adaptation entirely: the fixed floor wins.
-  EXPECT_EQ(adaptive_merkle_buckets(1'000'000, 0, 32), 32u);
+  // Floor: small shards stay at kMerkleMinBuckets.
+  EXPECT_EQ(adaptive_merkle_buckets(0), kMerkleMinBuckets);
+  EXPECT_EQ(adaptive_merkle_buckets(100), 32u);  // 13 wanted < floor
+  // Growth: nearest power of two at or above entries/8.
+  EXPECT_EQ(adaptive_merkle_buckets(256), 32u);
+  EXPECT_EQ(adaptive_merkle_buckets(257), 64u);
+  EXPECT_EQ(adaptive_merkle_buckets(10'000), 2048u);  // 1250 → 2048
   // Cap: runaway shard sizes cannot blow up the digest exchange.
-  EXPECT_EQ(adaptive_merkle_buckets(1'000'000'000, 1, 32), kMaxMerkleBuckets);
+  EXPECT_EQ(adaptive_merkle_buckets(1'000'000'000), kMaxMerkleBuckets);
 }
 
 TEST(MerkleTree, BucketOfKeyStaysInRange) {
@@ -167,13 +168,13 @@ TEST_F(MerkleSyncTest, SingleKeyStoresConverge) {
   EXPECT_TRUE(stats->differed);
   EXPECT_EQ(stats->buckets_diverged, 1u);
   EXPECT_EQ(local_.get("only"), "remote");
-  EXPECT_EQ(local_.shard_digest(0, kShards), remote_->shard_digest(0, kShards));
+  EXPECT_TRUE(local_.shard_snapshot(0, kShards) == remote_->shard_snapshot(0, kShards));
 }
 
 TEST_F(MerkleSyncTest, LwwConvergenceMatchesTheFlatExchange) {
-  // Same postcondition contract as sync_shard_with_peer: newest version
-  // wins in both directions, tombstones outrank stale values, both
-  // replicas end byte-equal.
+  // The postcondition the whole-shard exchange had: newest version wins
+  // in both directions, tombstones outrank stale values, both replicas
+  // end byte-equal.
   fill(local_, 50, 1);
   fill(*remote_, 50, 1);
   local_.apply({key_of(3), "local-wins", {900, 2}, false});
@@ -184,7 +185,7 @@ TEST_F(MerkleSyncTest, LwwConvergenceMatchesTheFlatExchange) {
   auto stats = merkle_sync_shard_with_peer(*channel_, local_, 0, kShards, kBuckets);
   ASSERT_TRUE(stats.ok()) << stats.error().describe();
   EXPECT_TRUE(stats->differed);
-  EXPECT_EQ(local_.shard_digest(0, kShards), remote_->shard_digest(0, kShards));
+  EXPECT_TRUE(local_.shard_snapshot(0, kShards) == remote_->shard_snapshot(0, kShards));
   EXPECT_EQ(local_.get(key_of(3)), "local-wins");
   EXPECT_EQ(remote_->get(key_of(3)), "local-wins");
   EXPECT_EQ(local_.get(key_of(8)), "remote-wins");
@@ -201,7 +202,7 @@ TEST_F(MerkleSyncTest, LwwConvergenceMatchesTheFlatExchange) {
 
 TEST_F(MerkleSyncTest, SmallDivergenceMovesASmallFractionOfTheShard) {
   // 1000 keys, ~1% diverged: the pull bytes must be a small fraction of
-  // the whole-shard blob the flat exchange would move. 1024 buckets ≈ one
+  // the whole-shard blob a one-bucket exchange would move. 1024 buckets ≈ one
   // key per bucket, so ~10 diverged keys pull ~10 buckets.
   constexpr std::size_t kKeys = 1000;
   constexpr std::size_t kBigBuckets = 1024;
@@ -217,7 +218,7 @@ TEST_F(MerkleSyncTest, SmallDivergenceMovesASmallFractionOfTheShard) {
   ASSERT_TRUE(stats.ok()) << stats.error().describe();
   EXPECT_TRUE(stats->differed);
   EXPECT_LE(stats->buckets_diverged, 10u);
-  EXPECT_EQ(local_.shard_digest(0, kShards), remote_->shard_digest(0, kShards));
+  EXPECT_TRUE(local_.shard_snapshot(0, kShards) == remote_->shard_snapshot(0, kShards));
   // The acceptance bar: repair traffic ≤ 10% of a whole-shard pull.
   EXPECT_LE(stats->bytes_pulled * 10, whole_shard_bytes)
       << "pulled " << stats->bytes_pulled << " of " << whole_shard_bytes;
@@ -232,7 +233,7 @@ TEST_F(MerkleSyncTest, OneBucketDegeneratesToWholeShardPull) {
   EXPECT_TRUE(stats->differed);
   EXPECT_EQ(stats->buckets_diverged, 1u);
   EXPECT_EQ(stats->pulled, remote_->shard_snapshot(0, kShards).size());
-  EXPECT_EQ(local_.shard_digest(0, kShards), remote_->shard_digest(0, kShards));
+  EXPECT_TRUE(local_.shard_snapshot(0, kShards) == remote_->shard_snapshot(0, kShards));
 }
 
 TEST_F(MerkleSyncTest, LargeStoreConvergesAndStaysBounded) {
@@ -247,10 +248,65 @@ TEST_F(MerkleSyncTest, LargeStoreConvergesAndStaysBounded) {
   auto stats = merkle_sync_shard_with_peer(*channel_, local_, 0, kShards, kBigBuckets);
   ASSERT_TRUE(stats.ok()) << stats.error().describe();
   EXPECT_TRUE(stats->differed);
-  EXPECT_EQ(local_.shard_digest(0, kShards), remote_->shard_digest(0, kShards));
+  EXPECT_TRUE(local_.shard_snapshot(0, kShards) == remote_->shard_snapshot(0, kShards));
   // One hot key out of 10k: the transfer is two orders of magnitude
-  // below the flat exchange.
+  // below a whole-shard pull.
   EXPECT_LE(stats->bytes_pulled * 100, whole_shard_bytes);
+}
+
+TEST_F(MerkleSyncTest, HostileBucketCountsAreTypedErrors) {
+  // -1 on the wire is 2^64 - 1 once cast: rounding it up to a power of
+  // two would never finish, and 2^40 would size a tree of 2^41 nodes.
+  // Each op rejects them before building anything.
+  fill(*remote_, 10, 1);
+  for (std::int64_t buckets :
+       {std::int64_t{-1}, std::int64_t{0}, std::int64_t{1} << 40,
+        static_cast<std::int64_t>(kMaxMerkleBuckets) + 1,
+        std::numeric_limits<std::int64_t>::min()}) {
+    const std::vector<Value> head{Value::of_int(0, "shard"), Value::of_int(1, "shards"),
+                                  Value::of_int(buckets, "buckets")};
+    std::vector<Value> mnode = head, mnodes = head, mpull = head;
+    mnode.push_back(Value::of_int(0, "level"));
+    mnode.push_back(Value::of_int(0, "index"));
+    mnodes.push_back(Value::of_int(0, "level"));
+    mnodes.push_back(Value::of_string(std::string(8, '\0'), "indexes"));
+    mpull.push_back(Value::of_int(0, "bucket"));
+    for (const auto& [op, params] : {std::pair{"mnode", &mnode},
+                                     std::pair{"mnodes", &mnodes},
+                                     std::pair{"mpull", &mpull}}) {
+      auto reply = channel_->invoke(op, *params);
+      ASSERT_FALSE(reply.ok()) << op << " buckets=" << buckets;
+      EXPECT_EQ(reply.error().code(), ErrorCode::kInvalidArgument) << op;
+      EXPECT_NE(reply.error().message().find("buckets"), std::string::npos)
+          << reply.error().describe();
+    }
+  }
+  // The largest legal count still serves.
+  std::vector<Value> top{Value::of_int(0, "shard"), Value::of_int(1, "shards"),
+                         Value::of_int(static_cast<std::int64_t>(kMaxMerkleBuckets),
+                                       "buckets"),
+                         Value::of_int(0, "level"), Value::of_int(0, "index")};
+  EXPECT_TRUE(channel_->invoke("mnode", top).ok());
+}
+
+TEST(ShardBlob, CountsThePayloadCannotHoldAreTypedErrors) {
+  // The count prefix is the peer's claim; it must not size an allocation
+  // (2^64 - 1 would throw length_error, 4e9 bad_alloc) before the bytes
+  // that follow are checked.
+  for (const char* blob : {"H2SH 18446744073709551615\n", "H2SH 4000000000\n",
+                           "H2SH 2\n0 0 0 1 1\nkv"}) {
+    auto entries = decode_entries(blob);
+    ASSERT_FALSE(entries.ok()) << blob;
+    EXPECT_EQ(entries.error().code(), ErrorCode::kInvalidArgument) << blob;
+    EXPECT_TRUE(entries.error().message().starts_with("shard blob:"))
+        << entries.error().describe();
+  }
+  // Entries of the smallest encoding (empty key and value) still decode at
+  // exactly the bound.
+  std::vector<VersionedEntry> smallest(3);
+  auto round_trip = decode_entries(encode_entries(smallest));
+  ASSERT_TRUE(round_trip.ok()) << round_trip.error().describe();
+  EXPECT_TRUE(*round_trip == smallest);
 }
 
 }  // namespace

@@ -26,7 +26,8 @@ class ReadRepairTest : public ::testing::Test {
     dvm_ = std::make_unique<Dvm>(
         "rr", make_sharded(ShardConfig{.shards = 8, .replicas = 2}));
     for (std::size_t i = 0; i < kNodes; ++i) {
-      std::string name = "n" + std::to_string(i);
+      std::string name = "n";
+      name += std::to_string(i);
       auto host = *net_.add_host(name);
       containers_.push_back(
           std::make_unique<container::Container>(name, repo_, net_, host));

@@ -21,7 +21,11 @@ constexpr std::uint64_t kSweepSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
 std::vector<std::string> member_names(std::size_t count) {
   std::vector<std::string> names;
   names.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) names.push_back("m" + std::to_string(i));
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string name = "m";
+    name += std::to_string(i);
+    names.push_back(std::move(name));
+  }
   return names;
 }
 

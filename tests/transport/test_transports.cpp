@@ -7,6 +7,7 @@
 
 #include <atomic>
 
+#include "dvm/merkle.hpp"
 #include "dvm/state.hpp"
 #include "resilience/dedup.hpp"
 #include "transport/batch.hpp"
@@ -163,6 +164,31 @@ TEST_P(TransportSuite, XdrBatchPacksManyCallsIntoOneExchange) {
   EXPECT_EQ(net_->stats().messages, 2u);
 }
 
+TEST_P(TransportSuite, XdrBatchLargerThanOneFrameReturnsEveryResultInOrder) {
+  // One past the wire's per-frame call limit: the channel sends two
+  // frames, and the caller sees one batch.
+  auto handle = serve_xdr(*net_, server_, 9001, service_);
+  ASSERT_TRUE(handle.ok());
+  auto channel = make_xdr_channel(*net_, client_, *Endpoint::parse("xdr://server:9001"));
+
+  constexpr std::size_t kCalls = kMaxBatchCalls + 1;
+  std::vector<BatchItem> calls;
+  calls.reserve(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    calls.push_back(BatchItem{"scale", {Value::of_doubles({double(i)})}, ""});
+  }
+  std::vector<Result<Value>> results;
+  auto status = channel->invoke_batch(calls, results);
+  ASSERT_TRUE(status.ok()) << status.error().describe();
+  ASSERT_EQ(results.size(), kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].error().describe();
+    ASSERT_EQ(*results[i]->as_doubles(), (std::vector<double>{2.0 * double(i)})) << i;
+  }
+  EXPECT_EQ(side_effects_.load(), static_cast<int>(kCalls));
+  EXPECT_EQ(net_->stats().calls, 2u);
+}
+
 TEST_P(TransportSuite, BatchChannelAutoFlushesOverWire) {
   auto handle = serve_xdr(*net_, server_, 9001, service_);
   ASSERT_TRUE(handle.ok());
@@ -222,10 +248,11 @@ TEST_P(TransportSuite, ClosedPortRefusesFurtherCalls) {
 }
 
 // ---- sharded state service over every transport --------------------------------
-// The sharded coherency mode's wire surface (wset/vset/digest/pull) and a
-// full anti-entropy exchange, each driven over sim, TCP and UDS: digest
-// comparison, shard pull and LWW merge must behave identically whether the
-// peer is a simulated host or a real socket.
+// The sharded coherency mode's wire surface (wset/vset/mnode/mpull) and a
+// full Merkle anti-entropy exchange (mnode, mnodes, mpull, vset push-back),
+// each driven over sim, TCP and UDS: digest comparison, bucket pull and
+// LWW merge must behave identically whether the peer is a simulated host
+// or a real socket.
 
 TEST_P(TransportSuite, ShardedStateServiceRoundTrips) {
   auto store = std::make_shared<dvm::StateStore>();
@@ -257,15 +284,19 @@ TEST_P(TransportSuite, ShardedStateServiceRoundTrips) {
   EXPECT_FALSE(*rejected->as_bool());
   EXPECT_EQ(store->get("user/k"), "v2");
 
-  // digest/pull agree with the store's own view of the shard.
+  // A one-bucket root probe and pull agree with the store's own view of
+  // the shard.
   const std::size_t shard = dvm::shard_of_key("user/k", 4);
   std::vector<Value> params{Value::of_int(static_cast<std::int64_t>(shard), "shard"),
-                            Value::of_int(4, "shards")};
-  auto digest = channel->invoke("digest", params);
+                            Value::of_int(4, "shards"), Value::of_int(1, "buckets"),
+                            Value::of_int(0, "level"), Value::of_int(0, "index")};
+  auto digest = channel->invoke("mnode", params);
   ASSERT_TRUE(digest.ok());
   EXPECT_EQ(static_cast<std::uint64_t>(*digest->as_int()),
-            store->shard_digest(shard, 4));
-  auto blob = channel->invoke("pull", params);
+            dvm::build_merkle_tree(*store, shard, 4, 1).root());
+  params.resize(3);
+  params.push_back(Value::of_int(0, "bucket"));
+  auto blob = channel->invoke("mpull", params);
   ASSERT_TRUE(blob.ok());
   auto entries = dvm::decode_entries(*blob->as_string());
   ASSERT_TRUE(entries.ok()) << entries.error().describe();
@@ -299,7 +330,8 @@ TEST_P(TransportSuite, AntiEntropyConvergesDivergedReplicasOverTheWire) {
 
   bool any_differed = false;
   for (std::size_t shard = 0; shard < kShards; ++shard) {
-    auto stats = dvm::sync_shard_with_peer(*channel, local, shard, kShards);
+    auto stats = dvm::merkle_sync_shard_with_peer(*channel, local, shard, kShards,
+                                                  dvm::kMerkleMinBuckets);
     ASSERT_TRUE(stats.ok()) << "shard " << shard << ": " << stats.error().describe();
     any_differed = any_differed || stats->differed;
   }
@@ -307,7 +339,7 @@ TEST_P(TransportSuite, AntiEntropyConvergesDivergedReplicasOverTheWire) {
 
   // Byte-equal convergence, shard by shard.
   for (std::size_t shard = 0; shard < kShards; ++shard) {
-    EXPECT_EQ(local.shard_digest(shard, kShards), remote->shard_digest(shard, kShards))
+    EXPECT_TRUE(local.shard_snapshot(shard, kShards) == remote->shard_snapshot(shard, kShards))
         << "shard " << shard;
   }
   // LWW picked the right winners on both sides.
@@ -320,7 +352,8 @@ TEST_P(TransportSuite, AntiEntropyConvergesDivergedReplicasOverTheWire) {
 
   // A second pass is a no-op: already converged.
   for (std::size_t shard = 0; shard < kShards; ++shard) {
-    auto stats = dvm::sync_shard_with_peer(*channel, local, shard, kShards);
+    auto stats = dvm::merkle_sync_shard_with_peer(*channel, local, shard, kShards,
+                                                  dvm::kMerkleMinBuckets);
     ASSERT_TRUE(stats.ok());
     EXPECT_FALSE(stats->differed) << "shard " << shard;
     EXPECT_EQ(stats->merged, 0u);
