@@ -29,11 +29,6 @@ void EventBus::bind_loop(loop::EventLoop* loop) {
   loop_ = loop;
 }
 
-loop::EventLoop* EventBus::bound_loop() const {
-  std::lock_guard lock(mu_);
-  return loop_;
-}
-
 std::size_t EventBus::publish(std::string_view topic, const Value& payload) {
   // Copy handlers out so subscribers may (un)subscribe from inside a
   // handler without deadlocking.

@@ -74,7 +74,6 @@ class EventBus {
   /// Binds delivery to `loop` (nullptr reverts to inline delivery).
   /// Kernel binds its own loop at construction.
   void bind_loop(loop::EventLoop* loop);
-  loop::EventLoop* bound_loop() const;
 
   /// Delivers `payload` to every handler of `topic`, in subscription
   /// order, via the bound loop's dispatch (inline when no loop or no

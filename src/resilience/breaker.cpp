@@ -92,7 +92,7 @@ CircuitBreaker& BreakerRegistry::for_endpoint(std::string_view key) {
     gauge = &metrics_->gauge("h2.resil." + std::string(key) + ".breaker_state");
     opens = &metrics_->counter("h2.resil." + std::string(key) + ".breaker_opens");
   }
-  auto breaker = std::make_unique<CircuitBreaker>(config_, gauge, opens);
+  auto breaker = std::make_unique<CircuitBreaker>(BreakerConfig{}, gauge, opens);
   auto [pos, inserted] =
       breakers_.emplace(std::string(key), std::move(breaker));
   return *pos->second;
@@ -103,11 +103,6 @@ BreakerRegistry& BreakerRegistry::of(net::Transport& net) {
     net.set_breaker_registry(std::make_shared<BreakerRegistry>(&net.metrics()));
   }
   return *net.breaker_registry();
-}
-
-void BreakerRegistry::set_config(BreakerConfig config) {
-  std::lock_guard lock(mu_);
-  config_ = config;
 }
 
 std::size_t BreakerRegistry::size() const {

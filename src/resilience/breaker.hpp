@@ -89,13 +89,13 @@ class CircuitBreaker {
 };
 
 /// One breaker per endpoint key (we key by target host name: all ports on
-/// a dead host die together in this world). Returned references are
-/// stable for the registry's lifetime.
+/// a dead host die together in this world), each with the default
+/// BreakerConfig. Returned references are stable for the registry's
+/// lifetime.
 class BreakerRegistry {
  public:
-  explicit BreakerRegistry(obs::MetricsRegistry* metrics = nullptr,
-                           BreakerConfig config = {})
-      : metrics_(metrics), config_(config) {}
+  explicit BreakerRegistry(obs::MetricsRegistry* metrics = nullptr)
+      : metrics_(metrics) {}
 
   BreakerRegistry(const BreakerRegistry&) = delete;
   BreakerRegistry& operator=(const BreakerRegistry&) = delete;
@@ -108,12 +108,10 @@ class BreakerRegistry {
   /// makes every channel to it fail fast.
   static BreakerRegistry& of(net::Transport& net);
 
-  void set_config(BreakerConfig config);
   std::size_t size() const;
 
  private:
   obs::MetricsRegistry* metrics_;
-  BreakerConfig config_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>, std::less<>> breakers_;
 };

@@ -79,10 +79,6 @@ class FaultPlan {
     actions_.push_back({FaultAction::Kind::kRestart, step, node, 0, 0});
     return *this;
   }
-  FaultPlan& skew_at(std::size_t step, Nanos delta) {
-    actions_.push_back({FaultAction::Kind::kClockSkew, step, 0, 0, delta});
-    return *this;
-  }
 
   const MessageChaos& message_chaos() const { return chaos_; }
   const RandomFaults& random_faults() const { return random_; }

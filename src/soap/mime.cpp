@@ -1,5 +1,6 @@
 #include "soap/mime.hpp"
 
+#include <bit>
 #include <charconv>
 
 #include "util/strings.hpp"
@@ -15,24 +16,42 @@ bool is_bulk(ValueKind kind) {
   return kind == ValueKind::kDoubleArray || kind == ValueKind::kBytes;
 }
 
-/// Serializes a bulk value's raw attachment bytes.
-std::vector<std::uint8_t> bulk_bytes(const Value& value) {
+/// Attachment byte order for doubles: little-endian IEEE-754, spelled out
+/// byte by byte so the wire is the same on any host.
+void store_f64_le(char* out, double v) {
+  auto bits = std::bit_cast<std::uint64_t>(v);
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(bits >> (8 * i));
+}
+
+double load_f64_le(const unsigned char* in) {
+  std::uint64_t bits = 0;
+  for (int i = 7; i >= 0; --i) bits = bits << 8 | in[i];
+  return std::bit_cast<double>(bits);
+}
+
+/// Appends a bulk value's raw attachment bytes to `body`.
+void append_bulk(std::string& body, const Value& value) {
   if (value.kind() == ValueKind::kBytes) {
     auto view = value.bytes_view();
-    return {view.begin(), view.end()};
+    body.append(reinterpret_cast<const char*>(view.data()), view.size());
+    return;
   }
-  ByteBuffer buffer;
-  for (double v : value.doubles_view()) buffer.write_f64_le(v);
-  return {buffer.bytes().begin(), buffer.bytes().end()};
+  auto doubles = value.doubles_view();
+  std::size_t at = body.size();
+  body.resize(at + doubles.size() * 8);
+  for (double v : doubles) {
+    store_f64_le(body.data() + at, v);
+    at += 8;
+  }
 }
 
 struct Attachment {
   std::string cid;
-  std::vector<std::uint8_t> bytes;
+  const Value* value;  ///< the caller's bulk param, written at assembly
 };
 
 /// Writes one parameter into the envelope: bulk values become href stubs
-/// with the payload exported into `attachments`, scalars stay inline.
+/// whose payload is listed in `attachments`, scalars stay inline.
 void write_part(EnvelopeWriter& w, const Value& value, std::string_view element_name,
                 std::vector<Attachment>& attachments) {
   if (!is_bulk(value.kind())) {
@@ -43,7 +62,7 @@ void write_part(EnvelopeWriter& w, const Value& value, std::string_view element_
   w.href_param(element_name, "cid:" + cid,
                value.kind() == ValueKind::kDoubleArray ? "xsd:double[]"
                                                        : "xsd:base64Binary");
-  attachments.push_back({std::move(cid), bulk_bytes(value)});
+  attachments.push_back({std::move(cid), &value});
 }
 
 /// Assembles the multipart body from the envelope and attachments.
@@ -55,7 +74,8 @@ MultipartMessage assemble(const std::string& envelope,
   std::string body;
   std::size_t attachment_bytes = 0;
   for (const Attachment& attachment : attachments) {
-    attachment_bytes += attachment.bytes.size() + 128;
+    const Value& value = *attachment.value;  // one of the two views is empty
+    attachment_bytes += value.bytes_view().size() + value.doubles_view().size_bytes() + 128;
   }
   body.reserve(envelope.size() + attachment_bytes + 256);
   body += "--";
@@ -67,8 +87,7 @@ MultipartMessage assemble(const std::string& envelope,
     body += kBoundary;
     body += "\r\nContent-Type: application/octet-stream\r\nContent-ID: <" +
             attachment.cid + ">\r\n\r\n";
-    body.append(reinterpret_cast<const char*>(attachment.bytes.data()),
-                attachment.bytes.size());
+    append_bulk(body, *attachment.value);
   }
   body += "\r\n--";
   body += kBoundary;
@@ -163,13 +182,11 @@ Result<Value> attachment_to_value(const std::vector<Part>& parts, std::string_vi
     if (part->body.size() % 8 != 0) {
       return err::parse("mime: double[] attachment not a multiple of 8 bytes");
     }
-    ByteBuffer buffer(part->body);
-    std::vector<double> values;
-    values.reserve(part->body.size() / 8);
-    while (buffer.remaining() > 0) {
-      auto v = buffer.read_f64_le();
-      if (!v.ok()) return v.error();
-      values.push_back(*v);
+    std::vector<double> values(part->body.size() / 8);
+    const auto* in = reinterpret_cast<const unsigned char*>(part->body.data());
+    for (double& v : values) {
+      v = load_f64_le(in);
+      in += 8;
     }
     return Value::of_doubles(std::move(values), std::string(name));
   }

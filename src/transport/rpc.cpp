@@ -172,6 +172,7 @@ class XdrChannel final : public Channel {
     // capacity is recycled instead of reallocated per call.
     enc::XdrWriter writer(net_.buffer_pool().acquire());
     marshal_call_into(writer, operation, params, call_id_);
+    stats_ = kNoTraffic;
     auto response = round_trip(writer.take(), operation, /*batch=*/false);
     if (!response.ok()) return response.error();
     // unmarshal_reply borrows the response bytes (the decoded Value owns
@@ -189,6 +190,7 @@ class XdrChannel final : public Channel {
                       std::vector<Result<Value>>& results) override {
     results.clear();
     results.reserve(calls.size());
+    stats_ = kNoTraffic;
     for (std::size_t offset = 0; offset < calls.size(); offset += kMaxBatchCalls) {
       auto frame = calls.subspan(
           offset, std::min<std::size_t>(kMaxBatchCalls, calls.size() - offset));
@@ -214,23 +216,27 @@ class XdrChannel final : public Channel {
   const Endpoint* remote() const override { return &to_; }
 
  private:
-  /// The one XDR round trip: sends `frame` (recycled to the pool) and
-  /// returns the reply bytes for the caller to decode and release.
+  static constexpr CallStats kNoTraffic{
+      .entities_traversed = 4,  // stub, socket, skeleton, dispatcher
+      .request_bytes = 0,
+      .response_bytes = 0};
+
+  /// The one XDR round trip: sends `frame` (recycled to the pool), adds
+  /// its bytes to stats_ (a split batch sums its frames), and returns the
+  /// reply bytes for the caller to decode and release.
   Result<ByteBuffer> round_trip(ByteBuffer frame, std::string_view operation, bool batch) {
     auto host = net_.resolve(to_.host);
     if (!host.ok()) {
       net_.buffer_pool().release(std::move(frame));
       return host.error();
     }
-    stats_ = CallStats{.entities_traversed = 4,  // stub, socket, skeleton, dispatcher
-                       .request_bytes = frame.size(),
-                       .response_bytes = 0};
+    stats_.request_bytes += frame.size();
     auto response = net_.call(from_, *host, to_.port, frame.bytes());
     net_.buffer_pool().release(std::move(frame));
     if (!response.ok()) {
       return response.error().context(round_trip_context("xdr", operation, batch));
     }
-    stats_.response_bytes = response->size();
+    stats_.response_bytes += response->size();
     return response;
   }
 

@@ -85,7 +85,8 @@ class Channel {
                                std::span<const Value> params) = 0;
   /// Binding kind name ("soap", "xdr", "local", "localobject").
   virtual const char* binding_name() const = 0;
-  /// Accounting for the most recent invoke().
+  /// Accounting for the most recent invoke(). After an xdr or soap
+  /// invoke_batch(), the bytes of every message that batch sent.
   virtual CallStats last_stats() const = 0;
 
   /// Idempotency key to attach to the next invoke()s (SOAP <h2:CallId>

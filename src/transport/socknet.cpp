@@ -8,6 +8,14 @@
 
 namespace h2::net {
 
+namespace {
+
+/// Per-call reply and dial deadline: generous, since loopback replies in
+/// microseconds.
+constexpr Nanos kCallTimeout = 10 * kSecond;
+
+}  // namespace
+
 SockNet::SockNet(SockFamily family, std::size_t reactors)
     : Transport(&wall_), family_(family) {
   if (reactors == 0) reactors = 1;
@@ -190,7 +198,7 @@ Result<ByteBuffer> SockNet::exchange(int fd, std::span<const std::uint8_t> reque
 
   sock::FrameAssembler assembler(buffer_pool_.acquire(),
                                  xdr_framed ? sock::Proto::kXdr : sock::Proto::kHttp);
-  const Nanos deadline = wall_.now() + call_timeout_;
+  const Nanos deadline = wall_.now() + kCallTimeout;
   std::uint8_t chunk[64 * 1024];
   while (true) {
     auto message = assembler.next();
@@ -258,7 +266,7 @@ Result<ByteBuffer> SockNet::call(HostId from, HostId to, std::uint16_t port,
   for (int attempt = 0; attempt < 2; ++attempt) {
     bool fresh = false;
     if (!conn.valid()) {
-      auto dialed = sock::dial(addr, call_timeout_);
+      auto dialed = sock::dial(addr, kCallTimeout);
       if (!dialed.ok()) {
         std::lock_guard lock(mu_);
         ++stats_.drops;

@@ -73,10 +73,6 @@ class SockNet final : public Transport {
 
   void sleep_for(Nanos duration) override;
 
-  /// Per-call reply deadline (default 10s — generous; loopback replies in
-  /// microseconds, and tests shorten it to probe timeout paths).
-  void set_call_timeout(Nanos timeout) { call_timeout_ = timeout; }
-
   // ---- introspection (tests / benchmarks) ------------------------------------
 
   /// Client connections dialed so far; persistent reuse keeps this far
@@ -126,7 +122,6 @@ class SockNet final : public Transport {
   std::string uds_dir_;         ///< mkdtemp'd; removed in the destructor
   std::uint64_t uds_serial_ = 0;
   std::uint64_t dialed_ = 0;
-  Nanos call_timeout_ = 10 * kSecond;
 };
 
 }  // namespace h2::net

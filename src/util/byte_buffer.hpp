@@ -1,8 +1,10 @@
-// Growable byte buffer with separate read/write cursors, used as the
-// universal carrier between codecs (XDR, BASE64, SOAP) and transports
-// (HTTP, XDR sockets, SimNetwork links). Numeric accessors exist in both
-// big-endian (network/XDR order) and little-endian (host-raw) flavours so
-// wire formats are byte-exact rather than memcpy-of-struct approximations.
+// Growable byte buffer: the carrier between the encoders (XdrWriter
+// frames, MIME bodies) and the transports (HTTP, XDR sockets, SimNetwork
+// links). Writers append big-endian (network/XDR order) numbers
+// byte-exactly rather than memcpy-ing structs. The read side is only a
+// cursor that framing code advances with skip() and inspects with
+// unread(); typed decoding belongs to enc::XdrReader, which reads these
+// bytes in place.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,6 @@ class ByteBuffer {
   bool empty() const { return data_.empty(); }
   /// Bytes remaining between the read cursor and the end.
   std::size_t remaining() const { return data_.size() - read_pos_; }
-  std::size_t read_position() const { return read_pos_; }
 
   const std::uint8_t* data() const { return data_.data(); }
   std::span<const std::uint8_t> bytes() const { return {data_.data(), data_.size()}; }
@@ -50,9 +51,6 @@ class ByteBuffer {
   }
   void reserve(std::size_t n) { data_.reserve(n); }
 
-  /// Moves the read cursor. Positions past the end are clamped.
-  void seek(std::size_t pos) { read_pos_ = pos > data_.size() ? data_.size() : pos; }
-
   // ---- writing -------------------------------------------------------------
 
   void write_u8(std::uint8_t v) { data_.push_back(v); }
@@ -67,7 +65,6 @@ class ByteBuffer {
     data_.insert(data_.end(), count, fill);
   }
 
-  void write_u16_be(std::uint16_t v);
   void write_u32_be(std::uint32_t v);
   /// Overwrites 4 already-written bytes at `offset` with `v` in big-endian
   /// order (length backpatching for frames whose size is known only after
@@ -79,41 +76,17 @@ class ByteBuffer {
     data_[offset + 3] = static_cast<std::uint8_t>(v);
   }
   void write_u64_be(std::uint64_t v);
-  void write_u32_le(std::uint32_t v);
-  void write_u64_le(std::uint64_t v);
   /// IEEE-754 bits in big-endian byte order (XDR float/double encoding).
   void write_f32_be(float v);
   void write_f64_be(double v);
-  void write_f64_le(double v);
 
   // ---- reading -------------------------------------------------------------
-  // All reads return Result and never read past the end.
 
-  Result<std::uint8_t> read_u8();
-  Result<std::uint16_t> read_u16_be();
-  Result<std::uint32_t> read_u32_be();
-  Result<std::uint64_t> read_u64_be();
-  Result<std::uint32_t> read_u32_le();
-  Result<std::uint64_t> read_u64_le();
-  Result<float> read_f32_be();
-  Result<double> read_f64_be();
-  Result<double> read_f64_le();
-
-  /// Copies `n` bytes out; fails with kParseError if fewer remain.
-  Result<std::vector<std::uint8_t>> read_bytes(std::size_t n);
-  Result<std::string> read_string(std::size_t n);
-  /// Advances the cursor without copying.
+  /// Advances the read cursor past `n` consumed bytes; fails with
+  /// kParseError, moving nothing, if fewer than `n` remain.
   Status skip(std::size_t n);
 
  private:
-  Status ensure(std::size_t n) const {
-    if (remaining() < n) {
-      return err::parse("byte buffer underrun: need " + std::to_string(n) +
-                        " bytes, have " + std::to_string(remaining()));
-    }
-    return Status::success();
-  }
-
   std::vector<std::uint8_t> data_;
   std::size_t read_pos_ = 0;
 };

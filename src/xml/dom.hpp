@@ -50,7 +50,6 @@ class Node {
 
   /// For text/comment/cdata nodes: the decoded character data.
   const std::string& text() const { return text_; }
-  void set_text(std::string t) { text_ = std::move(t); }
 
   /// For element nodes: concatenation of all *direct* text/CDATA children.
   std::string inner_text() const;

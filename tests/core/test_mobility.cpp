@@ -59,8 +59,9 @@ TEST_F(MobilityTest, TableContentsSurviveMove) {
   ASSERT_TRUE(id.ok());
   auto& dispatcher = *source_->instance(*id);
   for (int i = 0; i < 10; ++i) {
-    std::vector<Value> put_params{Value::of_string("k" + std::to_string(i)),
-                                  Value::of_string("v" + std::to_string(i))};
+    std::vector<Value> put_params{
+        Value::of_string(std::string("k").append(std::to_string(i))),
+        Value::of_string(std::string("v").append(std::to_string(i)))};
     ASSERT_TRUE(dispatcher.dispatch("put", put_params).ok());
   }
   auto report = migrate_component(*source_, *id, "target");

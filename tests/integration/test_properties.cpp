@@ -54,10 +54,10 @@ TEST_P(SeededProperty, XdrCallFrameRoundTrip) {
     for (std::size_t i = rng.next_below(6); i > 0; --i) {
       params.push_back(random_value(rng));
     }
-    auto frame = net::marshal_call("op" + std::to_string(round), params);
+    auto frame = net::marshal_call(std::string("op").append(std::to_string(round)), params);
     auto back = net::unmarshal_call(frame.bytes());
     ASSERT_TRUE(back.ok()) << back.error().describe();
-    EXPECT_EQ(back->operation, "op" + std::to_string(round));
+    EXPECT_EQ(back->operation, std::string("op").append(std::to_string(round)));
     ASSERT_EQ(back->params.size(), params.size());
     for (std::size_t i = 0; i < params.size(); ++i) {
       EXPECT_EQ(back->params[i], params[i]) << "round " << round << " param " << i;
@@ -99,9 +99,9 @@ TEST_P(SeededProperty, WsdlDescriptorRoundTrip) {
     std::size_t ops = 1 + rng.next_below(5);
     for (std::size_t o = 0; o < ops; ++o) {
       wsdl::OperationSpec op;
-      op.name = "op" + std::to_string(o);
+      op.name = std::string("op").append(std::to_string(o));
       for (std::size_t p = rng.next_below(4); p > 0; --p) {
-        op.params.push_back({"p" + std::to_string(p), random_kind(rng)});
+        op.params.push_back({std::string("p").append(std::to_string(p)), random_kind(rng)});
       }
       op.result = rng.next_bool(0.2) ? ValueKind::kVoid : random_kind(rng);
       d.operations.push_back(std::move(op));
@@ -136,9 +136,11 @@ TEST_P(SeededProperty, XmlWriteParseFixpoint) {
         }
         node.add_text(std::move(text));
       } else {
-        xml::Node* child = node.add_element("e" + std::to_string(rng.next_below(5)));
+        xml::Node* child =
+            node.add_element(std::string("e").append(std::to_string(rng.next_below(5))));
         for (std::size_t a = rng.next_below(3); a > 0; --a) {
-          child->set_attr("a" + std::to_string(a), "v<&\">'" + std::to_string(a));
+          child->set_attr(std::string("a").append(std::to_string(a)),
+                          std::string("v<&\">'").append(std::to_string(a)));
         }
         grow(*child, depth - 1);
       }
@@ -182,7 +184,7 @@ TEST_P(SeededProperty, CoherencyMatchesReferenceMap) {
     dvm::Dvm machine("prop", make_protocol());
     std::vector<std::unique_ptr<container::Container>> containers;
     for (int i = 0; i < 3; ++i) {
-      std::string name = "h" + std::to_string(i);
+      std::string name = std::string("h").append(std::to_string(i));
       containers.push_back(
           std::make_unique<container::Container>(name, repo, net, *net.add_host(name)));
       ASSERT_TRUE(machine.add_node(*containers.back()).ok());
@@ -196,10 +198,10 @@ TEST_P(SeededProperty, CoherencyMatchesReferenceMap) {
 
     std::map<std::string, std::string> reference;
     for (int op = 0; op < 120; ++op) {
-      std::string key = "k" + std::to_string(rng.next_below(8));
+      std::string key = std::string("k").append(std::to_string(rng.next_below(8)));
       switch (rng.next_below(3)) {
         case 0: {
-          std::string value = "v" + std::to_string(op);
+          std::string value = std::string("v").append(std::to_string(op));
           ASSERT_TRUE(machine.set(owner_of(key), key, value).ok());
           reference[key] = value;
           break;

@@ -95,15 +95,15 @@ TEST(Tracer, RingEvictsOldestAndCountsDrops) {
   tracer.set_enabled(true);
   constexpr std::size_t kTotal = 5000;  // > the 4096-slot ring
   for (std::size_t i = 0; i < kTotal; ++i) {
-    tracer.start_span("s" + std::to_string(i)).finish();
+    tracer.start_span(std::string("s").append(std::to_string(i))).finish();
   }
   EXPECT_EQ(tracer.span_count(), 4096u);
   EXPECT_EQ(tracer.dropped(), kTotal - 4096);
   auto spans = tracer.spans();
   ASSERT_EQ(spans.size(), 4096u);
   // Oldest-first: the survivors start right after the evicted prefix.
-  EXPECT_EQ(spans.front().name, "s" + std::to_string(kTotal - 4096));
-  EXPECT_EQ(spans.back().name, "s" + std::to_string(kTotal - 1));
+  EXPECT_EQ(spans.front().name, std::string("s").append(std::to_string(kTotal - 4096)));
+  EXPECT_EQ(spans.back().name, std::string("s").append(std::to_string(kTotal - 1)));
   tracer.clear();
   EXPECT_EQ(tracer.span_count(), 0u);
 }

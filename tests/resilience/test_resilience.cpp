@@ -455,7 +455,7 @@ class FailoverTest : public ::testing::TestWithParam<Shape> {
     ASSERT_TRUE(plugins::register_standard_plugins(repo_).ok());
     dvm_ = std::make_unique<dvm::Dvm>("dvm", dvm::make_full_synchrony());
     for (std::size_t i = 0; i < kNodes; ++i) {
-      std::string name = "n" + std::to_string(i);
+      std::string name = std::string("n").append(std::to_string(i));
       auto host = *net_.add_host(name);
       containers_.push_back(
           std::make_unique<container::Container>(name, repo_, net_, host));

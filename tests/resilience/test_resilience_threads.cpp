@@ -46,7 +46,7 @@ TEST(ResilienceThreadsTest, DedupCacheConcurrentStoreAndLookup) {
   for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < 2000; ++i) {
-        std::string id = "c" + std::to_string(i % 512);
+        std::string id = std::string("c").append(std::to_string(i % 512));
         if (t % 2 == 0) {
           cache.store(id, ByteBuffer(std::vector<std::uint8_t>{
                               static_cast<std::uint8_t>(i & 0xff)}));

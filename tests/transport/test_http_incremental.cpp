@@ -152,7 +152,7 @@ TEST(HttpIncremental, ParseSurvivesEveryByteSplitOfPipelinedStream) {
 
 TEST(FrameAssembler, SniffsXdrFromLengthPrefixAndHttpFromAscii) {
   FrameAssembler xdr;
-  std::uint8_t framed[] = {0, 0, 0, 3, 'a', 'b', 'c'};
+  const std::vector<std::uint8_t> framed{0, 0, 0, 3, 'a', 'b', 'c'};
   xdr.append(framed);
   auto m = xdr.next();
   ASSERT_TRUE(m.ok());
@@ -220,14 +220,14 @@ TEST(FrameAssembler, PipelinedHttpMessagesComeOutOneAtATime) {
 
 TEST(FrameAssembler, OversizedXdrFrameIsAProtocolViolation) {
   FrameAssembler assembler;
-  std::uint8_t evil[] = {0x05, 0x00, 0x00, 0x00};  // 80MB > 64MB cap
+  const std::vector<std::uint8_t> evil{0x05, 0x00, 0x00, 0x00};  // 80MB > 64MB cap
   assembler.append(evil);
   EXPECT_FALSE(assembler.next().ok());
 }
 
 TEST(FrameAssembler, EmptyXdrFrameIsDelivered) {
   FrameAssembler assembler;
-  std::uint8_t empty[] = {0, 0, 0, 0};
+  const std::vector<std::uint8_t> empty{0, 0, 0, 0};
   assembler.append(empty);
   auto m = assembler.next();
   ASSERT_TRUE(m.ok());
@@ -239,7 +239,7 @@ TEST(FrameAssembler, RecyclesPooledBuffers) {
   ByteBufferPool pool;
   {
     FrameAssembler assembler(pool.acquire());
-    std::uint8_t framed[] = {0, 0, 0, 1, 'x'};
+    const std::vector<std::uint8_t> framed{0, 0, 0, 1, 'x'};
     assembler.append(framed);
     ASSERT_TRUE(assembler.next().ok());
     pool.release(assembler.release());

@@ -26,8 +26,9 @@ constexpr Nanos kIoTimeout = 5ULL * 1000 * 1000 * 1000;  // 5s; CI-safe
 /// One length-framed XDR request: 4-byte big-endian prefix + payload.
 std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload) {
   const auto prefix = frame_prefix(payload.size());
-  std::vector<std::uint8_t> out(prefix.begin(), prefix.end());
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::vector<std::uint8_t> out(prefix.size() + payload.size());
+  std::copy(prefix.begin(), prefix.end(), out.begin());
+  std::copy(payload.begin(), payload.end(), out.begin() + prefix.size());
   return out;
 }
 

@@ -178,9 +178,14 @@ TEST_P(TransportSuite, XdrBatchLargerThanOneFrameReturnsEveryResultInOrder) {
     calls.push_back(BatchItem{"scale", {Value::of_doubles({double(i)})}, ""});
   }
   std::vector<Result<Value>> results;
+  const auto bytes_before = net_->metrics().counter("h2.net.bytes").value();
   auto status = channel->invoke_batch(calls, results);
   ASSERT_TRUE(status.ok()) << status.error().describe();
   ASSERT_EQ(results.size(), kCalls);
+  // The channel's stats account for every frame of the batch.
+  const auto stats = channel->last_stats();
+  EXPECT_EQ(stats.request_bytes + stats.response_bytes,
+            net_->metrics().counter("h2.net.bytes").value() - bytes_before);
   for (std::size_t i = 0; i < kCalls; ++i) {
     ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].error().describe();
     ASSERT_EQ(*results[i]->as_doubles(), (std::vector<double>{2.0 * double(i)})) << i;
