@@ -5,6 +5,20 @@
 
 namespace h2::enc {
 
+namespace {
+
+void store_be64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+}
+
+std::uint64_t load_be64(const std::uint8_t* in) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
+  return v;
+}
+
+}  // namespace
+
 void XdrWriter::put_opaque(std::span<const std::uint8_t> bytes) {
   put_u32(static_cast<std::uint32_t>(bytes.size()));
   put_opaque_fixed(bytes);
@@ -23,7 +37,11 @@ void XdrWriter::put_string(std::string_view s) {
 
 void XdrWriter::put_f64_array(std::span<const double> values) {
   put_u32(static_cast<std::uint32_t>(values.size()));
-  for (double v : values) put_f64(v);
+  std::uint8_t* out = buffer_.extend(values.size() * 8);
+  for (double v : values) {
+    store_be64(out, std::bit_cast<std::uint64_t>(v));
+    out += 8;
+  }
 }
 
 void XdrWriter::put_f32_array(std::span<const float> values) {
@@ -66,10 +84,8 @@ Result<std::int64_t> XdrReader::get_i64() {
 
 Result<std::uint64_t> XdrReader::get_u64() {
   if (auto s = ensure(8); !s.ok()) return s.error();
-  const std::uint8_t* p = cursor();
+  const std::uint64_t out = load_be64(cursor());
   pos_ += 8;
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) out = (out << 8) | p[i];
   return out;
 }
 
@@ -143,13 +159,13 @@ Result<std::vector<double>> XdrReader::get_f64_array() {
     return err::parse("xdr: f64 array length " + std::to_string(*len) +
                       " exceeds remaining bytes");
   }
-  std::vector<double> out;
-  out.reserve(*len);
-  for (std::uint32_t i = 0; i < *len; ++i) {
-    auto v = get_f64();
-    if (!v.ok()) return v.error();
-    out.push_back(*v);
+  std::vector<double> out(*len);
+  const std::uint8_t* in = cursor();
+  for (double& v : out) {
+    v = std::bit_cast<double>(load_be64(in));
+    in += 8;
   }
+  pos_ += out.size() * 8;
   return out;
 }
 

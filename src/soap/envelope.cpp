@@ -1,6 +1,8 @@
 #include "soap/envelope.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <optional>
 
 #include "encoding/base64.hpp"
 #include "util/strings.hpp"
@@ -10,6 +12,10 @@
 namespace h2::soap {
 
 namespace {
+
+/// Longest `<item>…</item>` a double array writes: the tags plus the
+/// longest shortest-round-trip double (24 chars, "-2.2250738585072014e-308").
+constexpr std::size_t kMaxItemBytes = 6 + 24 + 7;
 
 /// Appends a number with std::to_chars (shortest round-trip form for
 /// doubles — same digits str::format_double produces).
@@ -120,11 +126,20 @@ void EnvelopeWriter::param(const Value& value, std::string_view element_name) {
         return;
       }
       out_.push_back('>');
+      // Items are written in place into storage sized once for the
+      // longest form, then the string is cut back to what was written.
+      constexpr std::string_view kOpen = "<item>";
+      constexpr std::string_view kClose = "</item>";
+      const std::size_t start = out_.size();
+      out_.resize(start + items.size() * kMaxItemBytes);
+      char* cursor = out_.data() + start;
+      char* const end = out_.data() + out_.size();
       for (double v : items) {
-        out_ += "<item>";
-        append_double(out_, v);
-        out_ += "</item>";
+        cursor = std::copy(kOpen.begin(), kOpen.end(), cursor);
+        cursor = std::to_chars(cursor, end, v).ptr;
+        cursor = std::copy(kClose.begin(), kClose.end(), cursor);
       }
+      out_.resize(static_cast<std::size_t>(cursor - out_.data()));
       break;
     }
     case ValueKind::kBytes:
@@ -177,8 +192,7 @@ std::size_t EnvelopeWriter::estimate(const Value& value, std::size_t name_len) {
   std::size_t fixed = 2 * name_len + 40;  // tags + xsi:type attribute
   switch (value.kind()) {
     case ValueKind::kDoubleArray:
-      // "<item>" + up to 24 digit chars + "</item>" per element.
-      return fixed + 40 + value.doubles_view().size() * 38;
+      return fixed + 40 + value.doubles_view().size() * kMaxItemBytes;
     case ValueKind::kBytes:
       return fixed + enc::base64_encoded_size(value.bytes_view().size());
     case ValueKind::kString:
@@ -344,34 +358,47 @@ Result<Value> read_param(PullParser& p, const HrefResolver* resolver,
 
   if (type == "Array" || array_attr.has_value()) {
     std::vector<double> values;
+    // "xsd:double[65536]": the declared count, when it parses, must match
+    // the items read. It pre-sizes the vector, capped so a hostile header
+    // can't force a huge allocation before parsing.
+    std::optional<std::int64_t> declared;
     if (array_attr) {
-      // "xsd:double[65536]" — pre-size from the declared count (capped so
-      // a hostile header can't force a huge allocation before parsing).
       auto lb = array_attr->find('[');
       auto rb = array_attr->find(']');
       if (lb != std::string_view::npos && rb != std::string_view::npos && rb > lb + 1) {
         auto n = str::parse_i64(array_attr->substr(lb + 1, rb - lb - 1));
-        if (n.ok() && *n > 0) {
-          values.reserve(static_cast<std::size_t>(std::min<std::int64_t>(*n, 1 << 22)));
-        }
+        if (n.ok()) declared = *n;
       }
+    }
+    if (declared && *declared > 0) {
+      values.reserve(static_cast<std::size_t>(std::min<std::int64_t>(*declared, 1 << 22)));
     }
     int base = p.depth();
     while (true) {
-      auto t = p.next();
-      if (!t.ok()) return t.error();
-      if (*t == Token::kEndElement && p.depth() == base - 1) break;
-      if (*t != Token::kStartElement) continue;
-      if (p.local_name() != "item") {
-        auto skipped = p.skip_element();
-        if (!skipped.ok()) return skipped.error();
-        continue;
+      // An exact <item>digits</item> is read in one step; any other shape
+      // takes the general walk below.
+      std::optional<std::string_view> text = p.next_leaf("item");
+      if (!text) {
+        auto t = p.next();
+        if (!t.ok()) return t.error();
+        if (*t == Token::kEndElement && p.depth() == base - 1) break;
+        if (*t != Token::kStartElement) continue;
+        if (p.local_name() != "item") {
+          auto skipped = p.skip_element();
+          if (!skipped.ok()) return skipped.error();
+          continue;
+        }
+        auto inner = p.inner_text(scratch.text);
+        if (!inner.ok()) return inner.error();
+        text = *inner;
       }
-      auto text = p.inner_text(scratch.text);
-      if (!text.ok()) return text.error();
       auto v = str::parse_double(str::trim(*text));
       if (!v.ok()) return v.error().context("soap array item in <" + name + ">");
       values.push_back(*v);
+    }
+    if (declared && *declared != static_cast<std::int64_t>(values.size())) {
+      return err::parse("soap: array <" + name + "> declares " + std::to_string(*declared) +
+                        " items, holds " + std::to_string(values.size()));
     }
     return Value::of_doubles(std::move(values), std::move(name));
   }

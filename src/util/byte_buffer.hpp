@@ -22,8 +22,7 @@ class ByteBuffer {
  public:
   ByteBuffer() = default;
   explicit ByteBuffer(std::vector<std::uint8_t> data) : data_(std::move(data)) {}
-  explicit ByteBuffer(std::string_view text)
-      : data_(text.begin(), text.end()) {}
+  explicit ByteBuffer(std::string_view text) { write_string(text); }
 
   // ---- introspection -------------------------------------------------------
 
@@ -57,8 +56,18 @@ class ByteBuffer {
   void write_bytes(std::span<const std::uint8_t> bytes) {
     data_.insert(data_.end(), bytes.begin(), bytes.end());
   }
+  /// Appends the bytes of `s` with one memcpy (`char` iterators into the
+  /// `uint8_t` vector would be copied element by element).
   void write_string(std::string_view s) {
-    data_.insert(data_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(extend(s.size()), s.data(), s.size());
+  }
+  /// Appends `n` zero bytes and returns where they start, for encoders
+  /// that fill a block in one pass (XDR arrays). The pointer is valid
+  /// until the next write.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = data_.size();
+    data_.resize(at + n);
+    return data_.data() + at;
   }
   /// Appends `count` copies of `fill` (XDR padding, HTTP spacing).
   void write_fill(std::size_t count, std::uint8_t fill = 0) {

@@ -174,6 +174,34 @@ Result<Token> PullParser::next() {
   }
 }
 
+std::optional<std::string_view> PullParser::next_leaf(std::string_view qname) {
+  if (done_ || pending_end_ || open_.empty()) return std::nullopt;
+  // "<qname>" at the read position.
+  const std::size_t p = pos_;
+  if (input_.size() - p < qname.size() + 2 || input_[p] != '<' ||
+      input_.compare(p + 1, qname.size(), qname) != 0 || input_[p + 1 + qname.size()] != '>') {
+    return std::nullopt;
+  }
+  const std::size_t text_start = p + qname.size() + 2;
+  const std::size_t text_end = input_.find('<', text_start);
+  if (text_end == std::string_view::npos) return std::nullopt;
+  std::string_view text = input_.substr(text_start, text_end - text_start);
+  if (text.find('&') != std::string_view::npos) return std::nullopt;
+  // "</qname>" closes it.
+  if (input_.size() - text_end < qname.size() + 3 || input_[text_end + 1] != '/' ||
+      input_.compare(text_end + 2, qname.size(), qname) != 0 ||
+      input_[text_end + 2 + qname.size()] != '>') {
+    return std::nullopt;
+  }
+  pos_ = text_end + qname.size() + 3;
+  attrs_.clear();
+  name_ = input_.substr(text_end + 2, qname.size());
+  text_ = text;
+  text_needs_decode_ = false;
+  token_ = Token::kEndElement;
+  return text;
+}
+
 Result<Token> PullParser::read_start_tag() {
   ++pos_;  // '<'
   auto name = read_name();

@@ -52,6 +52,15 @@ class PullParser {
   /// Advances to the next token. After kEof, keeps returning kEof.
   Result<Token> next();
 
+  /// Inside an element, consumes a whole `<qname>text</qname>` leaf in one
+  /// step and returns its raw text, leaving depth(), token() and name()
+  /// as the next() calls over it would (kEndElement of `qname`). Applies
+  /// only when the input at the read position is exactly `<qname>` (no
+  /// attributes, no whitespace), the text holds no '&', and it ends with
+  /// an exact `</qname>`. Otherwise it consumes nothing and returns
+  /// nullopt, so the caller falls back to next().
+  std::optional<std::string_view> next_leaf(std::string_view qname);
+
   /// The token next() last produced.
   Token token() const { return token_; }
   /// Depth of open elements (1 while positioned on the root's start tag).

@@ -196,5 +196,89 @@ TEST(SoapValueXml, UnsupportedTypeRejected) {
   EXPECT_EQ(reply.error().code(), ErrorCode::kUnsupported);
 }
 
+// An array parameter whose items are written by hand: `count` goes into
+// the arrayType attribute and `items` between the tags.
+std::string array_param(std::string_view count, std::string_view items) {
+  return R"(<v xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:double[)" +
+         std::string(count) + "]\">" + std::string(items) + "</v>";
+}
+
+// Parses `param` as a request argument and as a reply's return value and
+// checks that both agree; returns the doubles, or the error.
+Result<std::vector<double>> parse_array(std::string_view param) {
+  auto call = parse_request(one_param_request(param));
+  auto reply = parse_reply(one_param_reply(param));
+  EXPECT_EQ(call.ok(), reply.ok()) << param;
+  if (!call.ok()) return call.error();
+  if (!reply.ok()) return reply.error();
+  EXPECT_EQ(*call->params.at(0).as_doubles(), *reply->value().as_doubles()) << param;
+  return *call->params.at(0).as_doubles();
+}
+
+// Exact `<item>n</item>` leaves are read in one step; every other item
+// shape falls back to the general walk. Each row puts one odd item
+// between two exact ones, so both paths run in the same array, and
+// states what the general walk yields for it.
+TEST(SoapArray, ItemShapesOutsideTheOneStepReadKeepTheirMeaning) {
+  struct Row {
+    const char* shape;
+    std::string_view odd;
+    std::optional<double> value;  ///< nullopt: the array is rejected
+  };
+  const Row rows[] = {
+      {"exact", "<item>4.5</item>", 4.5},
+      {"prefixed", R"(<x:item xmlns:x="urn:x">4.5</x:item>)", 4.5},
+      {"attribute", R"(<item a="1">4.5</item>)", 4.5},
+      {"space in start tag", "<item >4.5</item>", 4.5},
+      {"space in end tag", "<item>4.5</item >", 4.5},
+      {"whitespace between items", " \n<item>4.5</item>\t", 4.5},
+      {"comment between items", "<!-- c --><item>4.5</item><!-- d -->", 4.5},
+      {"character reference", "<item>&#52;.5</item>", 4.5},
+      {"CDATA", "<item><![CDATA[4.5]]></item>", 4.5},
+      {"padded text", "<item> 4.5 </item>", 4.5},
+      {"nested element", "<item>4<b>9</b>.5</item>", 4.5},
+      {"self-closing", "<item/>", std::nullopt},
+      {"empty", "<item></item>", std::nullopt},
+      {"not a number", "<item>x</item>", std::nullopt},
+      {"mismatched end tag", "<item>4.5</items>", std::nullopt},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.shape);
+    auto values = parse_array(
+        array_param("3", "<item>1</item>" + std::string(row.odd) + "<item>-2</item>"));
+    if (!row.value) {
+      EXPECT_FALSE(values.ok());
+      continue;
+    }
+    ASSERT_TRUE(values.ok()) << values.error().describe();
+    EXPECT_EQ(*values, (std::vector<double>{1, *row.value, -2}));
+  }
+  // A truncated envelope is rejected wherever it is cut, including
+  // inside an item the one-step read would otherwise take.
+  const std::string whole = one_param_request(array_param("2", "<item>1</item><item>2</item>"));
+  ASSERT_TRUE(parse_request(whole).ok());
+  for (std::size_t cut = 0; cut < whole.size(); ++cut) {
+    EXPECT_FALSE(parse_request(std::string_view(whole).substr(0, cut)).ok()) << cut;
+  }
+}
+
+TEST(SoapArray, DeclaredLengthMustMatchItemCount) {
+  // One-step items, then the same counts through the general walk.
+  for (std::string_view item : {"<item>1</item>", "<item >1</item>"}) {
+    std::string two = std::string(item) + std::string(item);
+    std::string three = two + std::string(item);
+    for (const std::string& param : {array_param("3", two), array_param("2", three)}) {
+      auto values = parse_array(param);
+      ASSERT_FALSE(values.ok()) << param;
+      EXPECT_EQ(values.error().code(), ErrorCode::kParseError);
+    }
+    EXPECT_TRUE(parse_array(array_param("2", two)).ok());
+    EXPECT_TRUE(parse_array(array_param("3", three)).ok());
+  }
+  // A count that does not parse sizes nothing and is not checked.
+  EXPECT_TRUE(parse_array(array_param("", "<item>1</item>")).ok());
+  EXPECT_TRUE(parse_array(array_param("2,3", "<item>1</item>")).ok());
+}
+
 }  // namespace
 }  // namespace h2::soap

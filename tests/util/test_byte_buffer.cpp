@@ -104,6 +104,22 @@ TEST(ByteBuffer, ConstructFromText) {
   EXPECT_EQ(buf.to_string(), "xyz");
 }
 
+TEST(ByteBuffer, TextCopiesKeepHighBytes) {
+  std::string text;
+  for (int c = 0; c < 256; ++c) text.push_back(static_cast<char>(c));
+  ByteBuffer built(text);
+  ByteBuffer appended;
+  appended.write_string("x");
+  appended.write_string(text);
+  ASSERT_EQ(built.size(), 256u);
+  ASSERT_EQ(appended.size(), 257u);
+  for (std::size_t i = 0; i < 256; ++i) {
+    EXPECT_EQ(built.bytes()[i], i);
+    EXPECT_EQ(appended.bytes()[i + 1], i);
+  }
+  EXPECT_EQ(built.as_string_view(), text);
+}
+
 TEST(ByteBuffer, WriteFill) {
   ByteBuffer buf;
   buf.write_fill(3, 0xEE);

@@ -179,6 +179,103 @@ TEST(PullParser, SkipElementConsumesWholeSubtree) {
   EXPECT_EQ(p.name(), "e");
 }
 
+// One parser state as next() exposes it, or the error a step produced.
+struct Step {
+  bool ok;
+  Token token;
+  std::string name;
+  int depth;
+  bool operator==(const Step&) const = default;
+};
+
+Step here(const PullParser& p) {
+  return {true, p.token(), std::string(p.name()), p.depth()};
+}
+
+// Every step next() takes from here to kEof or the first error.
+std::vector<Step> drain(PullParser& p) {
+  std::vector<Step> steps;
+  while (true) {
+    auto r = p.next();
+    steps.push_back(r.ok() ? here(p) : Step{false, Token::kEof, "", 0});
+    if (!r.ok() || *r == Token::kEof) return steps;
+  }
+}
+
+TEST(PullParser, NextLeafReadsExactLeafOrConsumesNothing) {
+  struct Case {
+    std::string_view doc;
+    std::optional<std::string_view> text;  ///< nullopt: must not match
+  };
+  const Case cases[] = {
+      {"<a><item>1.5</item><z/></a>", "1.5"},
+      {"<a><item></item></a>", ""},
+      {"<a><item> 7 </item></a>", " 7 "},
+      {"<a><x:item xmlns:x=\"u\">1</x:item></a>", std::nullopt},
+      {"<a><item b=\"1\">1</item></a>", std::nullopt},
+      {"<a><item >1</item></a>", std::nullopt},
+      {"<a><item>1</item ></a>", std::nullopt},
+      {"<a><item>&#49;</item></a>", std::nullopt},
+      {"<a><item><![CDATA[1]]></item></a>", std::nullopt},
+      {"<a><item/></a>", std::nullopt},
+      {"<a><item>1<b/></item></a>", std::nullopt},
+      {"<a><item>1<!--c--></item></a>", std::nullopt},
+      {"<a><items>1</items></a>", std::nullopt},
+      {"<a><item>1</items></a>", std::nullopt},
+      {"<a><item>1</item2></a>", std::nullopt},
+      {"<a> <item>1</item></a>", std::nullopt},
+      {"<a><!--c--><item>1</item></a>", std::nullopt},
+      {"<a><item>1", std::nullopt},
+      {"<a><item>1</ite", std::nullopt},
+      {"<a><item", std::nullopt},
+      {"<a/>", std::nullopt},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.doc));
+    PullParser leaf(c.doc);
+    PullParser walk(c.doc);
+    ASSERT_TRUE(leaf.next().ok());
+    ASSERT_TRUE(walk.next().ok());
+    auto text = leaf.next_leaf("item");
+    EXPECT_EQ(text, c.text);
+    if (text) {
+      // next() over the same leaf ends on its end tag, one level up.
+      ASSERT_TRUE(walk.next().ok());
+      ASSERT_EQ(walk.token(), Token::kStartElement);
+      while (true) {
+        auto r = walk.next();
+        ASSERT_TRUE(r.ok());
+        if (*r == Token::kEndElement) break;
+      }
+      EXPECT_EQ(here(leaf), here(walk));
+      EXPECT_EQ(leaf.depth(), 1);
+    }
+    // Matched or not, both parsers now stand at the same place.
+    EXPECT_EQ(drain(leaf), drain(walk));
+  }
+}
+
+TEST(PullParser, NextLeafDeclinesOutsideAnOpenElement) {
+  // Before the root: the leaf would be the document element.
+  PullParser p("<item>1</item>");
+  EXPECT_FALSE(p.next_leaf("item").has_value());
+  ASSERT_TRUE(p.next().ok());
+  EXPECT_EQ(p.token(), Token::kStartElement);
+  EXPECT_EQ(p.name(), "item");
+
+  // On a self-closing start tag: its synthesized end comes first.
+  constexpr std::string_view kDoc = "<r><a/><item>1</item></r>";
+  PullParser leaf(kDoc);
+  PullParser walk(kDoc);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(leaf.next().ok());
+    ASSERT_TRUE(walk.next().ok());
+  }
+  ASSERT_TRUE(leaf.self_closing());
+  EXPECT_FALSE(leaf.next_leaf("item").has_value());
+  EXPECT_EQ(drain(leaf), drain(walk));
+}
+
 TEST(PullParserParity, SoapEnvelope) {
   expect_parity(
       "<SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\""
