@@ -17,6 +17,15 @@ std::uint64_t load_be64(const std::uint8_t* in) {
   return v;
 }
 
+void store_be32(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+}
+
+std::uint32_t load_be32(const std::uint8_t* in) {
+  return (std::uint32_t{in[0]} << 24) | (std::uint32_t{in[1]} << 16) |
+         (std::uint32_t{in[2]} << 8) | std::uint32_t{in[3]};
+}
+
 }  // namespace
 
 void XdrWriter::put_opaque(std::span<const std::uint8_t> bytes) {
@@ -46,12 +55,20 @@ void XdrWriter::put_f64_array(std::span<const double> values) {
 
 void XdrWriter::put_f32_array(std::span<const float> values) {
   put_u32(static_cast<std::uint32_t>(values.size()));
-  for (float v : values) put_f32(v);
+  std::uint8_t* out = buffer_.extend(values.size() * 4);
+  for (float v : values) {
+    store_be32(out, std::bit_cast<std::uint32_t>(v));
+    out += 4;
+  }
 }
 
 void XdrWriter::put_i32_array(std::span<const std::int32_t> values) {
   put_u32(static_cast<std::uint32_t>(values.size()));
-  for (std::int32_t v : values) put_i32(v);
+  std::uint8_t* out = buffer_.extend(values.size() * 4);
+  for (std::int32_t v : values) {
+    store_be32(out, static_cast<std::uint32_t>(v));
+    out += 4;
+  }
 }
 
 Status XdrReader::ensure(std::size_t n) const {
@@ -70,10 +87,9 @@ Result<std::int32_t> XdrReader::get_i32() {
 
 Result<std::uint32_t> XdrReader::get_u32() {
   if (auto s = ensure(4); !s.ok()) return s.error();
-  const std::uint8_t* p = cursor();
+  const std::uint32_t out = load_be32(cursor());
   pos_ += 4;
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+  return out;
 }
 
 Result<std::int64_t> XdrReader::get_i64() {
@@ -175,13 +191,13 @@ Result<std::vector<float>> XdrReader::get_f32_array() {
   if (static_cast<std::size_t>(*len) * 4 > remaining()) {
     return err::parse("xdr: f32 array length exceeds remaining bytes");
   }
-  std::vector<float> out;
-  out.reserve(*len);
-  for (std::uint32_t i = 0; i < *len; ++i) {
-    auto v = get_f32();
-    if (!v.ok()) return v.error();
-    out.push_back(*v);
+  std::vector<float> out(*len);
+  const std::uint8_t* in = cursor();
+  for (float& v : out) {
+    v = std::bit_cast<float>(load_be32(in));
+    in += 4;
   }
+  pos_ += out.size() * 4;
   return out;
 }
 
@@ -191,13 +207,13 @@ Result<std::vector<std::int32_t>> XdrReader::get_i32_array() {
   if (static_cast<std::size_t>(*len) * 4 > remaining()) {
     return err::parse("xdr: i32 array length exceeds remaining bytes");
   }
-  std::vector<std::int32_t> out;
-  out.reserve(*len);
-  for (std::uint32_t i = 0; i < *len; ++i) {
-    auto v = get_i32();
-    if (!v.ok()) return v.error();
-    out.push_back(*v);
+  std::vector<std::int32_t> out(*len);
+  const std::uint8_t* in = cursor();
+  for (std::int32_t& v : out) {
+    v = static_cast<std::int32_t>(load_be32(in));
+    in += 4;
   }
+  pos_ += out.size() * 4;
   return out;
 }
 

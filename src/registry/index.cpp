@@ -10,55 +10,78 @@ namespace {
 /// compaction so a hot term's unlink stays O(1).
 constexpr std::size_t kEagerEraseLimit = 64;
 
-std::string element_term(std::string_view elem) {
-  return "e:" + std::string(elem);
+void element_term(std::string& out, std::string_view elem) {
+  out.assign("e:").append(elem);
 }
 
-std::string attr_term(std::string_view elem, std::string_view attr) {
-  std::string out = "a:";
-  if (elem != "*") out += elem;
-  out += '@';
-  out += attr;
-  return out;
+void attr_term(std::string& out, std::string_view elem, std::string_view attr) {
+  out.assign("a:");
+  if (elem != "*") out.append(elem);
+  out.append(1, '@').append(attr);
 }
 
-std::string value_term(std::string_view elem, std::string_view attr,
-                       std::string_view value) {
-  std::string out = "v:";
-  if (elem != "*") out += elem;
-  out += '@';
-  out += attr;
-  out += '=';
-  out += value;
-  return out;
+void value_term(std::string& out, std::string_view elem, std::string_view attr,
+                std::string_view value) {
+  out.assign("v:");
+  if (elem != "*") out.append(elem);
+  out.append(1, '@').append(attr).append(1, '=').append(value);
+}
+
+/// Key buffer for the const lookups, which run concurrently under the
+/// registry's shared lock: one per thread, so a lookup allocates only
+/// when its key outgrows every earlier one on that thread.
+std::string& lookup_key() {
+  thread_local std::string key;
+  return key;
+}
+
+/// First position in [from, end) whose id is not less than `id`. Gallops
+/// 1, 2, 4, ... ahead before a binary search of the last stride, so k
+/// seeks across a list of n ids cost O(k log(n/k)): a few dozen probes
+/// for a short list against a long one, never worse than a linear merge.
+const RegistryIndex::DocId* seek(const RegistryIndex::DocId* from,
+                                 const RegistryIndex::DocId* end,
+                                 RegistryIndex::DocId id) {
+  std::size_t stride = 1;
+  while (stride <= static_cast<std::size_t>(end - from) && from[stride - 1] < id) {
+    from += stride;
+    stride *= 2;
+  }
+  const std::size_t left = static_cast<std::size_t>(end - from);
+  return std::lower_bound(from, from + std::min(stride, left), id);
 }
 
 }  // namespace
 
-void RegistryIndex::collect_doc_terms(const xml::Node& node,
-                                      std::vector<std::string>& out) {
+void RegistryIndex::collect_doc_terms(const xml::Node& node, std::string& term,
+                                      std::vector<TermId>& out) {
   if (!node.is_element()) return;
   std::string_view elem = node.local_name();
-  out.push_back(element_term(elem));
+  element_term(term, elem);
+  out.push_back(intern(term));
   for (const xml::Attribute& attr : node.attributes()) {
     // Both the scoped and the unscoped ("any element") spellings, so
     // queries over "*" steps still hit the index.
-    out.push_back(attr_term(elem, attr.name));
-    out.push_back(attr_term("*", attr.name));
-    out.push_back(value_term(elem, attr.name, attr.value));
-    out.push_back(value_term("*", attr.name, attr.value));
+    attr_term(term, elem, attr.name);
+    out.push_back(intern(term));
+    attr_term(term, "*", attr.name);
+    out.push_back(intern(term));
+    value_term(term, elem, attr.name, attr.value);
+    out.push_back(intern(term));
+    value_term(term, "*", attr.name, attr.value);
+    out.push_back(intern(term));
   }
   for (const auto& child : node.children()) {
-    collect_doc_terms(*child, out);
+    collect_doc_terms(*child, term, out);
   }
 }
 
-RegistryIndex::TermId RegistryIndex::intern(std::string term) {
+RegistryIndex::TermId RegistryIndex::intern(std::string_view term) {
   auto it = term_ids_.find(term);
   if (it != term_ids_.end()) return it->second;
   TermId id = static_cast<TermId>(lists_.size());
   lists_.emplace_back();
-  term_ids_.emplace(std::move(term), id);
+  term_ids_.emplace(std::string(term), id);  // the only allocation: a new term
   return id;
 }
 
@@ -70,25 +93,26 @@ const RegistryIndex::PostingList* RegistryIndex::find(std::string_view term) con
 
 void RegistryIndex::add(DocId id, const wsdl::Definitions& defs,
                         const xml::Node& doc) {
-  std::vector<std::string> terms;
+  std::vector<TermId> terms;
+  std::string term;
   for (const wsdl::Service& service : defs.services) {
-    terms.push_back("s:" + service.name);
+    term.assign("s:").append(service.name);
+    terms.push_back(intern(term));
   }
   for (const wsdl::Binding& binding : defs.bindings) {
-    terms.push_back("t:" + std::string(wsdl::to_string(binding.kind)));
+    term.assign("t:").append(wsdl::to_string(binding.kind));
+    terms.push_back(intern(term));
   }
-  collect_doc_terms(doc, terms);
+  collect_doc_terms(doc, term, terms);
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
 
-  std::vector<TermId>& doc_terms = docs_[id];
-  doc_terms.reserve(terms.size());
-  for (std::string& term : terms) {
-    TermId term_id = intern(std::move(term));
+  for (TermId term_id : terms) {
     lists_[term_id].ids.push_back(id);  // ids are monotonic: stays sorted
-    doc_terms.push_back(term_id);
   }
-  postings_ += doc_terms.size();
+  postings_ += terms.size();
+  // Stored at its exact size: `terms` still holds its push-back slack.
+  docs_.emplace(id, std::vector<TermId>(terms.begin(), terms.end()));
 }
 
 void RegistryIndex::unlink(TermId term, DocId id) {
@@ -131,13 +155,17 @@ void RegistryIndex::remove(DocId id) {
 
 std::span<const RegistryIndex::DocId> RegistryIndex::service_postings(
     std::string_view service_name) const {
-  const PostingList* list = find("s:" + std::string(service_name));
+  std::string& key = lookup_key();
+  key.assign("s:").append(service_name);
+  const PostingList* list = find(key);
   return list == nullptr ? std::span<const DocId>() : std::span(list->ids);
 }
 
 std::span<const RegistryIndex::DocId> RegistryIndex::tmodel_postings(
     std::string_view tmodel) const {
-  const PostingList* list = find("t:" + std::string(tmodel));
+  std::string& key = lookup_key();
+  key.assign("t:").append(tmodel);
+  const PostingList* list = find(key);
   return list == nullptr ? std::span<const DocId>() : std::span(list->ids);
 }
 
@@ -147,17 +175,17 @@ std::optional<std::vector<RegistryIndex::DocId>> RegistryIndex::candidates(
   if (terms.empty()) return std::nullopt;  // nothing indexable: caller scans
   std::vector<const PostingList*> lists;
   lists.reserve(terms.size());
+  std::string& key = lookup_key();
   for (const auto& term : terms) {
-    std::string key;
     switch (term.kind) {
       case xml::XPath::IndexTerm::Kind::kElement:
-        key = element_term(term.element);
+        element_term(key, term.element);
         break;
       case xml::XPath::IndexTerm::Kind::kAttrExists:
-        key = attr_term(term.element, term.attr);
+        attr_term(key, term.element, term.attr);
         break;
       case xml::XPath::IndexTerm::Kind::kAttrEquals:
-        key = value_term(term.element, term.attr, term.value);
+        value_term(key, term.element, term.attr, term.value);
         break;
     }
     const PostingList* list = find(key);
@@ -165,20 +193,27 @@ std::optional<std::vector<RegistryIndex::DocId>> RegistryIndex::candidates(
     if (list == nullptr) return std::vector<DocId>();
     lists.push_back(list);
   }
-  // Intersect starting from the shortest list — the usual case is one
-  // highly selective value term against a couple of broad element terms.
+  // Walk the shortest list and seek each of its ids in the longer ones —
+  // the usual case is one highly selective value term against a couple
+  // of broad element terms, where a merge would read every broad id.
   std::sort(lists.begin(), lists.end(),
             [](const PostingList* a, const PostingList* b) {
               return a->ids.size() < b->ids.size();
             });
-  std::vector<DocId> result(lists[0]->ids);
-  std::vector<DocId> next;
-  for (std::size_t i = 1; i < lists.size() && !result.empty(); ++i) {
-    next.clear();
-    next.reserve(result.size());
-    std::set_intersection(result.begin(), result.end(), lists[i]->ids.begin(),
-                          lists[i]->ids.end(), std::back_inserter(next));
-    result.swap(next);
+  std::vector<const DocId*> cursors;
+  cursors.reserve(lists.size());
+  for (const PostingList* list : lists) cursors.push_back(list->ids.data());
+  std::vector<DocId> result;
+  result.reserve(lists[0]->ids.size());
+  for (DocId id : lists[0]->ids) {
+    bool in_all = true;
+    for (std::size_t i = 1; i < lists.size() && in_all; ++i) {
+      const DocId* end = lists[i]->ids.data() + lists[i]->ids.size();
+      cursors[i] = seek(cursors[i], end, id);
+      if (cursors[i] == end) return result;  // list i holds nothing >= id
+      in_all = *cursors[i] == id;
+    }
+    if (in_all) result.push_back(id);
   }
   return result;
 }

@@ -11,8 +11,14 @@
 // instead of a walk over every stored document; the compiled query then
 // runs only on the candidates (terms are necessary, not sufficient).
 //
+// Lookups hash: the term table is keyed by string_view (add builds each
+// term into one reusable buffer and allocates only for a term it has
+// never seen), and the per-doc term table by doc id, so neither walks a
+// tree over cold memory.
+//
 // Posting-list lifecycle: ids append in ascending order (doc ids are
-// monotonic), so lists stay sorted and intersect by merge. Removal is
+// monotonic), so lists stay sorted; an intersection walks the shortest
+// list and gallops forward through each longer one. Removal is
 // eager for short lists (erase in place) and amortized for long ones —
 // a dead counter marks the entry and the list compacts once dead ids
 // reach half its length, so unlink cost stays O(1) amortized while
@@ -25,11 +31,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "wsdl/model.hpp"
@@ -79,15 +86,25 @@ class RegistryIndex {
     std::size_t dead = 0;    ///< how many of `ids` were removed
   };
 
-  TermId intern(std::string term);
+  /// Hashes std::string and string_view alike, so lookups by a view of a
+  /// scratch buffer need no std::string.
+  struct TermHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view term) const noexcept {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+
+  TermId intern(std::string_view term);
   const PostingList* find(std::string_view term) const;
   void unlink(TermId term, DocId id);
-  static void collect_doc_terms(const xml::Node& node,
-                                std::vector<std::string>& out);
+  void collect_doc_terms(const xml::Node& node, std::string& term,
+                         std::vector<TermId>& out);
 
-  std::map<std::string, TermId, std::less<>> term_ids_;
-  std::vector<PostingList> lists_;              ///< indexed by TermId
-  std::map<DocId, std::vector<TermId>> docs_;   ///< sorted unique terms per doc
+  std::unordered_map<std::string, TermId, TermHash, std::equal_to<>> term_ids_;
+  std::vector<PostingList> lists_;  ///< indexed by TermId
+  /// Sorted unique terms per doc, each vector at its exact size.
+  std::unordered_map<DocId, std::vector<TermId>> docs_;
   std::size_t postings_ = 0;
   std::size_t dead_ = 0;
   std::uint64_t compactions_ = 0;

@@ -1,5 +1,6 @@
 #include "registry/xml_registry.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "obs/metrics.hpp"
@@ -13,8 +14,8 @@ namespace {
 
 constexpr std::string_view kKeyPrefix = "reg-";
 
-/// Keys are "reg-<doc id>"; the id is the storage key, so key lookups
-/// are O(log n) instead of a scan.
+/// Keys are "reg-<doc id>"; the id is the storage key, so a key lookup
+/// is one hash probe instead of a scan.
 std::optional<std::uint64_t> parse_key(std::string_view key) {
   if (!str::starts_with(key, kKeyPrefix)) return std::nullopt;
   auto n = str::parse_u64(key.substr(kKeyPrefix.size()));
@@ -93,15 +94,19 @@ Status XmlRegistry::remove(std::string_view key) {
 
 std::vector<const Entry*> XmlRegistry::entries() const {
   std::shared_lock lock(mu_);
+  auto ordered = live_in_order_locked();
   std::vector<const Entry*> out;
-  out.reserve(stored_.size());
-  for (const auto& [id, stored] : stored_) {
-    if (live(stored)) out.push_back(&stored.entry);
-  }
+  out.reserve(ordered.size());
+  for (const auto& [id, stored] : ordered) out.push_back(&stored->entry);
   return out;
 }
 
-std::size_t XmlRegistry::size() const { return entries().size(); }
+std::size_t XmlRegistry::size() const {
+  std::shared_lock lock(mu_);
+  return static_cast<std::size_t>(std::count_if(
+      stored_.begin(), stored_.end(),
+      [this](const Table::value_type& kv) { return live(kv.second); }));
+}
 
 Result<std::vector<const Entry*>> XmlRegistry::query(std::string_view xpath) const {
   auto compiled = xml::XPath::compile(xpath);
@@ -126,9 +131,8 @@ Result<std::vector<const Entry*>> XmlRegistry::query(std::string_view xpath) con
   }
   // Query constrains nothing indexable (e.g. "//*"): scan.
   bump(c_index_scans_);
-  for (const auto& [id, stored] : stored_) {
-    if (!live(stored)) continue;
-    if (!compiled->select(doc_of(stored)).empty()) out.push_back(&stored.entry);
+  for (const auto& [id, stored] : live_in_order_locked()) {
+    if (!compiled->select(doc_of(*stored)).empty()) out.push_back(&stored->entry);
   }
   return out;
 }
@@ -261,7 +265,19 @@ const xml::Node& XmlRegistry::doc_of(const Stored& stored) const {
   return *stored.doc;
 }
 
-void XmlRegistry::purge_locked(std::map<std::uint64_t, Stored>::iterator it) {
+std::vector<std::pair<std::uint64_t, const XmlRegistry::Stored*>>
+XmlRegistry::live_in_order_locked() const {
+  std::vector<std::pair<std::uint64_t, const Stored*>> out;
+  out.reserve(stored_.size());
+  for (const auto& [id, stored] : stored_) {
+    if (live(stored)) out.emplace_back(id, &stored);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
+void XmlRegistry::purge_locked(Table::iterator it) {
   index_.remove(it->first);
   if (it->second.lease_timer != 0) leases_.cancel(it->second.lease_timer);
   stored_.erase(it);

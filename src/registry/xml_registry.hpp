@@ -16,11 +16,12 @@
 //     never serialize behind other finds.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "loop/hier_wheel.hpp"
@@ -87,7 +88,7 @@ class XmlRegistry {
   /// "xdr", ...), registration order — the UDDI find_by_tmodel source.
   std::vector<const Entry*> entries_with_tmodel(std::string_view tmodel) const;
 
-  /// Live entry by registration key; O(log n).
+  /// Live entry by registration key; one hash lookup.
   Result<const Entry&> find_key(std::string_view key) const;
 
   /// Purges expired leases; returns how many were dropped. Work is
@@ -122,13 +123,20 @@ class XmlRegistry {
            stored.entry.lease_expires > clock_.now();
   }
 
+  /// Doc id -> entry. Hashed, so it has no order: whatever promises
+  /// registration order sorts ids (ids grow with each add). Nodes never
+  /// move, which Stored (not movable) relies on.
+  using Table = std::unordered_map<std::uint64_t, Stored>;
+
   const xml::Node& doc_of(const Stored& stored) const;
-  void purge_locked(std::map<std::uint64_t, Stored>::iterator it);
+  /// Live entries, ascending doc id (= registration order).
+  std::vector<std::pair<std::uint64_t, const Stored*>> live_in_order_locked() const;
+  void purge_locked(Table::iterator it);
   void update_gauges_locked();
 
   const Clock& clock_;
   mutable std::shared_mutex mu_;
-  std::map<std::uint64_t, Stored> stored_;  ///< doc id -> entry, id order
+  Table stored_;
   RegistryIndex index_;
   loop::HierWheel<std::uint64_t> leases_;   ///< payload: doc id
   std::uint64_t next_key_ = 1;

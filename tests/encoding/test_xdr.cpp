@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 
 #include "util/rng.hpp"
@@ -121,6 +122,58 @@ TEST(Xdr, ArrayLengthOverrunRejected) {
   auto result = r.get_f64_array();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
+}
+
+TEST(Xdr, FourByteArraysRoundTripAtEdgeLengths) {
+  Rng rng(23);
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{1023}}) {
+    std::vector<float> floats;
+    std::vector<std::int32_t> ints;
+    for (double d : rng.doubles(n, -1e6, 1e6)) {
+      floats.push_back(static_cast<float>(d));
+      ints.push_back(static_cast<std::int32_t>(rng.next_u64()));
+    }
+    XdrWriter w;
+    w.put_f32_array(floats);
+    w.put_i32_array(ints);
+    // Length word + 4 big-endian bytes per element, for each array.
+    ASSERT_EQ(w.size(), 2 * (4 + 4 * n));
+    if (n > 0) {
+      auto bytes = w.buffer().bytes();
+      const std::uint32_t first = std::bit_cast<std::uint32_t>(floats[0]);
+      EXPECT_EQ(bytes[4], first >> 24);
+      EXPECT_EQ(bytes[7], first & 0xFF);
+    }
+
+    XdrReader r(w.take());
+    auto got_floats = r.get_f32_array();
+    auto got_ints = r.get_i32_array();
+    ASSERT_TRUE(got_floats.ok());
+    ASSERT_TRUE(got_ints.ok());
+    EXPECT_EQ(*got_floats, floats) << n;
+    EXPECT_EQ(*got_ints, ints) << n;
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
+TEST(Xdr, TruncatedFourByteArraysRejected) {
+  // Claim 4 elements but provide 3: both readers refuse before copying.
+  XdrWriter w;
+  w.put_u32(4);
+  for (int i = 0; i < 3; ++i) w.put_i32(i);
+  const ByteBuffer wire = w.take();
+
+  XdrReader floats(wire.bytes());
+  auto f = floats.get_f32_array();
+  ASSERT_FALSE(f.ok());
+  EXPECT_EQ(f.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ(f.error().message(), "xdr: f32 array length exceeds remaining bytes");
+
+  XdrReader ints(wire.bytes());
+  auto i = ints.get_i32_array();
+  ASSERT_FALSE(i.ok());
+  EXPECT_EQ(i.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ(i.error().message(), "xdr: i32 array length exceeds remaining bytes");
 }
 
 TEST(Xdr, TruncatedScalarRejected) {
