@@ -6,7 +6,8 @@
 // 10k to 1M entries while the linear-scan baseline grows linearly
 // (>= 100x apart at 1M). The lease timer-wheel makes an expiry tick
 // O(expired): the same 1000-lease batch must cost about the same to
-// expire whether 10k or 1M live leases are parked around it.
+// expire whether 10k or 1M live leases are parked around it. One tick is
+// one noisy sample, so each row times several and reports the median.
 //
 // Standalone binary (not google-benchmark): each row needs one giant
 // registry built once and then probed by several differently-shaped
@@ -20,7 +21,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "registry/xml_registry.hpp"
@@ -33,7 +36,13 @@ using namespace h2;
 
 constexpr Nanos kBaseLease = 3600 * kSecond;  ///< far-future: parks in the wheel
 constexpr std::size_t kExpireBatch = 1000;    ///< short leases per expiry tick
+constexpr std::size_t kExpireTicks = 9;       ///< timed expiry ticks per row
 constexpr std::size_t kDupsPerName = 16;      ///< entries sharing each service name
+#ifdef __clang__
+constexpr const char* kCompiler = "clang " __VERSION__;
+#else
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
 
 double us_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
@@ -62,8 +71,9 @@ struct Row {
   double scan_find_us = 0;     ///< per linear-scan baseline call
   double find_speedup = 0;     ///< scan / indexed
   double indexed_query_us = 0; ///< per value-term XPath query
-  std::size_t expired = 0;
-  double expire_tick_us = 0;        ///< one expire() with `expired` due
+  std::size_t expired = 0;          ///< leases each tick expired
+  std::size_t expire_ticks = 0;     ///< timed ticks behind the median
+  double expire_tick_us = 0;        ///< median expire() with `expired` due
   double expire_us_per_expired = 0; ///< tick / expired — must stay flat
   std::size_t index_terms = 0;
   std::size_t index_postings = 0;
@@ -150,20 +160,38 @@ Row measure(std::size_t n) {
   }
   row.indexed_query_us = us_since(start) / static_cast<double>(queries);
 
-  // Expiry tick: park a fixed batch of short leases among the n live
-  // far-future ones, advance past only the batch, and time one tick.
-  // O(expired) means this stays flat from 10k to 1M live leases.
-  for (std::size_t i = 0; i < kExpireBatch; ++i) {
-    if (!registry.add(pool[i % names], kMillisecond).ok()) std::exit(1);
+  // Expiry ticks: park a fixed batch of short leases among the n live
+  // far-future ones, advance past only the batch, and time the tick that
+  // expires it; every tick must expire exactly the batch. O(expired) means
+  // the median stays flat from 10k to 1M live leases.
+  std::vector<double> ticks;
+  for (std::size_t tick = 0; tick < kExpireTicks; ++tick) {
+    for (std::size_t i = 0; i < kExpireBatch; ++i) {
+      if (!registry.add(pool[i % names], kMillisecond).ok()) std::exit(1);
+    }
+    clock.advance(2 * kMillisecond);
+    start = std::chrono::steady_clock::now();
+    row.expired = registry.expire();
+    ticks.push_back(us_since(start));
+    if (row.expired != kExpireBatch) row.parity = false;
   }
-  clock.advance(2 * kMillisecond);
-  start = std::chrono::steady_clock::now();
-  row.expired = registry.expire();
-  row.expire_tick_us = us_since(start);
-  if (row.expired != kExpireBatch) row.parity = false;
+  std::nth_element(ticks.begin(), ticks.begin() + kExpireTicks / 2, ticks.end());
+  row.expire_ticks = kExpireTicks;
+  row.expire_tick_us = ticks[kExpireTicks / 2];
   row.expire_us_per_expired =
       row.expired > 0 ? row.expire_tick_us / static_cast<double>(row.expired) : 0;
   return row;
+}
+
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    auto colon = line.find(": ");
+    if (colon != std::string::npos) return line.substr(colon + 2);
+  }
+  return "unknown";
 }
 
 void write_json(const char* path, const std::vector<Row>& rows) {
@@ -173,6 +201,11 @@ void write_json(const char* path, const std::vector<Row>& rows) {
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"benchmark\": \"registry\",\n");
+  std::fprintf(f,
+               "  \"machine\": {\"nproc\": %u, \"cpu\": \"%s\", \"build_type\": \"%s\", "
+               "\"compiler\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), cpu_model().c_str(), H2_BUILD_TYPE,
+               kCompiler);
   std::fprintf(f,
                "  \"config\": {\"dups_per_name\": %zu, \"expire_batch\": %zu, "
                "\"base_lease_s\": %lld},\n",
@@ -186,11 +219,11 @@ void write_json(const char* path, const std::vector<Row>& rows) {
         "    {\"entries\": %zu, \"publish_us_per_entry\": %.3f, "
         "\"indexed_find_us\": %.3f, \"scan_find_us\": %.1f, "
         "\"find_speedup\": %.1f, \"indexed_query_us\": %.3f, "
-        "\"expired\": %zu, \"expire_tick_us\": %.1f, "
+        "\"expired\": %zu, \"expire_ticks\": %zu, \"expire_tick_us\": %.1f, "
         "\"expire_us_per_expired\": %.3f, \"index_terms\": %zu, "
         "\"index_postings\": %zu, \"parity\": %s}%s\n",
         r.entries, r.publish_us_per_entry, r.indexed_find_us, r.scan_find_us,
-        r.find_speedup, r.indexed_query_us, r.expired, r.expire_tick_us,
+        r.find_speedup, r.indexed_query_us, r.expired, r.expire_ticks, r.expire_tick_us,
         r.expire_us_per_expired, r.index_terms, r.index_postings,
         r.parity ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
@@ -224,10 +257,10 @@ int main(int argc, char** argv) {
     std::printf(
         "N=%-8zu publish %6.2f us/entry   find %7.3f us indexed vs %10.1f us "
         "scan (%.0fx)   query %7.3f us   expire %zu in %8.1f us "
-        "(%.3f us/expired)%s\n",
+        "(%.3f us/expired, median of %zu)%s\n",
         row.entries, row.publish_us_per_entry, row.indexed_find_us,
         row.scan_find_us, row.find_speedup, row.indexed_query_us, row.expired,
-        row.expire_tick_us, row.expire_us_per_expired,
+        row.expire_tick_us, row.expire_us_per_expired, row.expire_ticks,
         row.parity ? "" : "   PARITY FAILURE");
   }
 

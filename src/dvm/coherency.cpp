@@ -1,5 +1,7 @@
 #include "dvm/coherency.hpp"
 
+#include "util/spectrum.hpp"
+
 namespace h2::dvm {
 
 std::vector<KV> coalesce_writes(std::span<const KV> writes) {
@@ -18,23 +20,6 @@ std::vector<KV> coalesce_writes(std::span<const KV> writes) {
 }
 
 namespace {
-
-/// A local read, else "a distributed query spanning across the DVM": the
-/// first member that holds the key answers. Decentralized and
-/// neighborhood reads share it.
-Result<std::string> query_anywhere(std::span<DvmNode* const> members, std::size_t origin,
-                                   std::string_view key) {
-  if (auto value = members[origin]->state().get(key); value.has_value()) {
-    return *value;
-  }
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (i == origin) continue;
-    auto value = members[origin]->remote_get(*members[i], key);
-    if (value.ok()) return value;
-    if (value.error().code() != ErrorCode::kNotFound) return value.error();
-  }
-  return err::not_found("state: no key '" + std::string(key) + "' anywhere");
-}
 
 /// The origin's own copy of a coalesced write storm.
 void apply_local(DvmNode& origin, std::span<const KV> writes) {
@@ -138,82 +123,54 @@ class FullSynchronyBuggy final : public FullSynchrony {
   }
 };
 
-class Decentralized final : public CoherencyProtocol {
- public:
-  const char* name() const override { return "decentralized"; }
-
-  Status update(std::span<DvmNode* const> members, std::size_t origin,
-                std::string_view key, std::string_view value) override {
-    // "State change events are not propagated to other nodes."
-    members[origin]->state().set(std::string(key), std::string(value));
-    return Status::success();
-  }
-
-  Result<std::string> query(std::span<DvmNode* const> members, std::size_t origin,
-                            std::string_view key) override {
-    return query_anywhere(members, origin, key);
-  }
-
-  Status erase(std::span<DvmNode* const> members, std::size_t origin,
-               std::string_view key) override {
-    members[origin]->state().erase(key);
-    return Status::success();
-  }
-};
-
+/// Full synchrony within the k ring successors of the writer, distributed
+/// queries beyond them. With k = 0 no state change propagates and every
+/// non-local read is a DVM-spanning query: the decentralized scheme.
 class Neighborhood final : public CoherencyProtocol {
  public:
   explicit Neighborhood(std::size_t k) : k_(k) {}
 
-  const char* name() const override { return "neighborhood"; }
+  const char* name() const override { return k_ == 0 ? "decentralized" : "neighborhood"; }
 
   Status update(std::span<DvmNode* const> members, std::size_t origin,
                 std::string_view key, std::string_view value) override {
     members[origin]->state().set(std::string(key), std::string(value));
-    return fan_out(members, origin, "neighborhood replication",
-                   [&](DvmNode& from, DvmNode& to) {
-                     return from.remote_set(to, key, value);
-                   });
+    return ring_fan_out(members.size(), origin, k_, [&](std::size_t to) {
+             return members[origin]->remote_set(*members[to], key, value);
+           }).context("neighborhood replication");
   }
 
   Status update_batch(std::span<DvmNode* const> members, std::size_t origin,
                       std::span<const KV> writes) override {
     const std::vector<KV> coalesced = coalesce_writes(writes);
     apply_local(*members[origin], coalesced);
-    return fan_out(members, origin, "neighborhood batch replication",
-                   [&](DvmNode& from, DvmNode& to) {
-                     return from.remote_set_batch(to, coalesced);
-                   });
+    return ring_fan_out(members.size(), origin, k_, [&](std::size_t to) {
+             return members[origin]->remote_set_batch(*members[to], coalesced);
+           }).context("neighborhood batch replication");
   }
 
   Result<std::string> query(std::span<DvmNode* const> members, std::size_t origin,
                             std::string_view key) override {
-    return query_anywhere(members, origin, key);
+    if (auto value = members[origin]->state().get(key); value.has_value()) {
+      return *value;
+    }
+    return query_others(
+        members.size(), origin,
+        [&](std::size_t member) { return members[origin]->remote_get(*members[member], key); },
+        [&]() -> Result<std::string> {
+          return err::not_found("state: no key '" + std::string(key) + "' anywhere");
+        });
   }
 
   Status erase(std::span<DvmNode* const> members, std::size_t origin,
                std::string_view key) override {
     members[origin]->state().erase(key);
-    return fan_out(members, origin, "neighborhood erase",
-                   [&](DvmNode& from, DvmNode& to) { return from.remote_del(to, key); });
+    return ring_fan_out(members.size(), origin, k_, [&](std::size_t to) {
+             return members[origin]->remote_del(*members[to], key);
+           }).context("neighborhood erase");
   }
 
  private:
-  /// The one neighborhood fan-out behind update, update_batch and erase:
-  /// `send` to the k ring successors of the origin in the caller's wire
-  /// shape; the first failed leg fails the call.
-  template <typename Send>
-  Status fan_out(std::span<DvmNode* const> members, std::size_t origin,
-                 std::string_view context, Send send) {
-    for (std::size_t step = 1; step <= k_ && step < members.size(); ++step) {
-      std::size_t neighbor = (origin + step) % members.size();
-      if (auto status = send(*members[origin], *members[neighbor]); !status.ok()) {
-        return status.error().context(context);
-      }
-    }
-    return Status::success();
-  }
-
   std::size_t k_;
 };
 
@@ -224,7 +181,7 @@ std::unique_ptr<CoherencyProtocol> make_full_synchrony() {
 }
 
 std::unique_ptr<CoherencyProtocol> make_decentralized() {
-  return std::make_unique<Decentralized>();
+  return std::make_unique<Neighborhood>(0);
 }
 
 std::unique_ptr<CoherencyProtocol> make_neighborhood(std::size_t k) {

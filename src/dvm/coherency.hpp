@@ -164,10 +164,12 @@ std::vector<KV> coalesce_writes(std::span<const KV> writes);
 /// Full replication, synchronous fan-out on every change; local reads.
 std::unique_ptr<CoherencyProtocol> make_full_synchrony();
 
-/// No propagation; every non-local read is a DVM-spanning query.
+/// No propagation; every non-local read is a DVM-spanning query. This is
+/// make_neighborhood(0), named "decentralized".
 std::unique_ptr<CoherencyProtocol> make_decentralized();
 
-/// Full synchrony within a ring k-neighborhood, distributed query beyond.
+/// Full synchrony within a ring k-neighborhood, distributed query beyond
+/// (the walks in util/spectrum.hpp).
 std::unique_ptr<CoherencyProtocol> make_neighborhood(std::size_t k);
 
 /// Sharded mode: consistent-hash ring placement, LWW deltas to the R

@@ -1,5 +1,6 @@
 #include "registry/lookup.hpp"
 
+#include "util/spectrum.hpp"
 #include "wsdl/io.hpp"
 
 namespace h2::reg {
@@ -40,32 +41,30 @@ std::shared_ptr<net::Dispatcher> make_registry_dispatcher(
   return mux;
 }
 
-/// Remote publish to `target` from `from` over the XDR binding.
-Status remote_publish(net::SimNetwork& net, net::HostId from, RegistryNode& target,
-                      const wsdl::Definitions& defs) {
+/// One registry-service call from `from` to `target` over the XDR binding.
+Result<Value> call_registry(RegistryNode& from, RegistryNode& target,
+                            std::string_view operation, std::span<const Value> params) {
+  net::Transport& net = from.network();
   net::Endpoint endpoint{.scheme = "xdr",
                          .host = net.host_name(target.host()),
                          .port = kRegistryPort,
                          .path = ""};
-  auto channel = net::make_xdr_channel(net, from, endpoint);
-  std::vector<Value> params{Value::of_string(wsdl::to_xml_string(defs), "wsdl"),
-                            Value::of_int(0, "lease")};
-  auto result = channel->invoke("publish", params);
+  return net::make_xdr_channel(net, from.host(), endpoint)->invoke(operation, params);
+}
+
+Status remote_publish(RegistryNode& from, RegistryNode& target,
+                      const wsdl::Definitions& defs) {
+  const Value params[] = {Value::of_string(wsdl::to_xml_string(defs), "wsdl"),
+                          Value::of_int(0, "lease")};
+  auto result = call_registry(from, target, "publish", params);
   if (!result.ok()) return result.error();
   return Status::success();
 }
 
-/// Remote find on `target` from `from`.
-Result<wsdl::Definitions> remote_find(net::SimNetwork& net, net::HostId from,
-                                      RegistryNode& target,
+Result<wsdl::Definitions> remote_find(RegistryNode& from, RegistryNode& target,
                                       std::string_view service_name) {
-  net::Endpoint endpoint{.scheme = "xdr",
-                         .host = net.host_name(target.host()),
-                         .port = kRegistryPort,
-                         .path = ""};
-  auto channel = net::make_xdr_channel(net, from, endpoint);
-  std::vector<Value> params{Value::of_string(std::string(service_name), "service")};
-  auto result = channel->invoke("find", params);
+  const Value params[] = {Value::of_string(std::string(service_name), "service")};
+  auto result = call_registry(from, target, "find", params);
   if (!result.ok()) return result.error();
   auto text = result->as_string();
   if (!text.ok()) return text.error();
@@ -78,14 +77,12 @@ class CentralizedLookup final : public LookupStrategy {
       : nodes_(std::move(nodes)), center_(center) {}
 
   Status publish(std::size_t from, const wsdl::Definitions& defs) override {
-    return remote_publish(nodes_[from]->network(), nodes_[from]->host(),
-                          *nodes_[center_], defs);
+    return remote_publish(*nodes_[from], *nodes_[center_], defs);
   }
 
   Result<wsdl::Definitions> lookup(std::size_t from,
                                    std::string_view service_name) override {
-    return remote_find(nodes_[from]->network(), nodes_[from]->host(),
-                       *nodes_[center_], service_name);
+    return remote_find(*nodes_[from], *nodes_[center_], service_name);
   }
 
   const char* name() const override { return "centralized"; }
@@ -95,82 +92,38 @@ class CentralizedLookup final : public LookupStrategy {
   std::size_t center_;
 };
 
-class DecentralizedLookup final : public LookupStrategy {
- public:
-  explicit DecentralizedLookup(std::vector<RegistryNode*> nodes)
-      : nodes_(std::move(nodes)) {}
-
-  Status publish(std::size_t from, const wsdl::Definitions& defs) override {
-    // Fully localized registration: no network traffic at all.
-    auto key = nodes_[from]->registry().add(defs);
-    if (!key.ok()) return key.error();
-    return Status::success();
-  }
-
-  Result<wsdl::Definitions> lookup(std::size_t from,
-                                   std::string_view service_name) override {
-    // Local first, then an active distributed query across every node.
-    if (auto local = nodes_[from]->registry().find_service(service_name); local.ok()) {
-      return local->defs;
-    }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (i == from) continue;
-      auto found = remote_find(nodes_[from]->network(), nodes_[from]->host(),
-                               *nodes_[i], service_name);
-      if (found.ok()) return found;
-      if (found.error().code() != ErrorCode::kNotFound) return found.error();
-    }
-    return err::not_found("decentralized lookup: service '" +
-                          std::string(service_name) + "' not found anywhere");
-  }
-
-  const char* name() const override { return "decentralized"; }
-
- private:
-  std::vector<RegistryNode*> nodes_;
-};
-
+/// Local registration replicated synchronously to the k ring successors
+/// (full synchrony inside the neighbourhood), local reads, and an active
+/// distributed query for farther hosts. With k = 0 registration is fully
+/// localized and costs no network traffic: the decentralized scheme.
 class NeighborhoodLookup final : public LookupStrategy {
  public:
   NeighborhoodLookup(std::vector<RegistryNode*> nodes, std::size_t k)
       : nodes_(std::move(nodes)), k_(k) {}
 
   Status publish(std::size_t from, const wsdl::Definitions& defs) override {
-    // Local registration plus synchronous replication to the k next ring
-    // neighbours — full synchrony inside the neighbourhood.
     auto key = nodes_[from]->registry().add(defs);
     if (!key.ok()) return key.error();
-    for (std::size_t step = 1; step <= k_ && step < nodes_.size(); ++step) {
-      std::size_t neighbor = (from + step) % nodes_.size();
-      if (auto status = remote_publish(nodes_[from]->network(), nodes_[from]->host(),
-                                       *nodes_[neighbor], defs);
-          !status.ok()) {
-        return status.error().context("neighborhood replication");
-      }
-    }
-    return Status::success();
+    return ring_fan_out(nodes_.size(), from, k_, [&](std::size_t to) {
+             return remote_publish(*nodes_[from], *nodes_[to], defs);
+           }).context("neighborhood replication");
   }
 
   Result<wsdl::Definitions> lookup(std::size_t from,
                                    std::string_view service_name) override {
-    // Neighborhood data is already local (the provider replicated to us if
-    // we are within k of it); fall back to a distributed query for farther
-    // hosts, skipping our own ring-predecessors' replicas last.
     if (auto local = nodes_[from]->registry().find_service(service_name); local.ok()) {
       return local->defs;
     }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (i == from) continue;
-      auto found = remote_find(nodes_[from]->network(), nodes_[from]->host(),
-                               *nodes_[i], service_name);
-      if (found.ok()) return found;
-      if (found.error().code() != ErrorCode::kNotFound) return found.error();
-    }
-    return err::not_found("neighborhood lookup: service '" +
-                          std::string(service_name) + "' not found");
+    return query_others(
+        nodes_.size(), from,
+        [&](std::size_t node) { return remote_find(*nodes_[from], *nodes_[node], service_name); },
+        [&]() -> Result<wsdl::Definitions> {
+          return err::not_found(std::string(name()) + " lookup: service '" +
+                                std::string(service_name) + "' not found");
+        });
   }
 
-  const char* name() const override { return "neighborhood"; }
+  const char* name() const override { return k_ == 0 ? "decentralized" : "neighborhood"; }
 
  private:
   std::vector<RegistryNode*> nodes_;
@@ -179,7 +132,7 @@ class NeighborhoodLookup final : public LookupStrategy {
 
 }  // namespace
 
-RegistryNode::RegistryNode(net::SimNetwork& net, net::HostId host, const Clock& clock)
+RegistryNode::RegistryNode(net::Transport& net, net::HostId host, const Clock& clock)
     : net_(net),
       host_(host),
       registry_(std::make_shared<XmlRegistry>(clock)),
@@ -204,7 +157,7 @@ std::unique_ptr<LookupStrategy> make_centralized_lookup(
 
 std::unique_ptr<LookupStrategy> make_decentralized_lookup(
     std::vector<RegistryNode*> nodes) {
-  return std::make_unique<DecentralizedLookup>(std::move(nodes));
+  return std::make_unique<NeighborhoodLookup>(std::move(nodes), 0);
 }
 
 std::unique_ptr<LookupStrategy> make_neighborhood_lookup(

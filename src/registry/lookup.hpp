@@ -6,8 +6,9 @@
 // lookup that can be expensive... Most frameworks provide solutions that
 // are intermediate."
 //
-// This module implements all three points of the spectrum over SimNetwork,
-// each node running a RegistryNode (an XmlRegistry behind an XDR server).
+// This module implements all three points of the spectrum over any
+// net::Transport, each node running a RegistryNode (an XmlRegistry behind
+// an XDR server).
 // bench_lookup (EXP-LOOKUP) sweeps node count and measures registration
 // vs discovery cost for each strategy.
 #pragma once
@@ -30,19 +31,19 @@ inline constexpr std::uint16_t kRegistryPort = 7000;
 /// find(service) -> wsdl.
 class RegistryNode {
  public:
-  RegistryNode(net::SimNetwork& net, net::HostId host, const Clock& clock);
+  RegistryNode(net::Transport& net, net::HostId host, const Clock& clock);
 
   /// Binds the registry service on kRegistryPort.
   Status start();
   void stop();
 
   net::HostId host() const { return host_; }
-  net::SimNetwork& network() { return net_; }
+  net::Transport& network() { return net_; }
   XmlRegistry& registry() { return *registry_; }
   const XmlRegistry& registry() const { return *registry_; }
 
  private:
-  net::SimNetwork& net_;
+  net::Transport& net_;
   net::HostId host_;
   std::shared_ptr<XmlRegistry> registry_;
   std::shared_ptr<net::Dispatcher> dispatcher_;
@@ -70,12 +71,14 @@ std::unique_ptr<LookupStrategy> make_centralized_lookup(
     std::vector<RegistryNode*> nodes, std::size_t center);
 
 /// Registration is purely local (zero network traffic); lookup fans out
-/// across all nodes until a hit.
+/// across all nodes until a hit. This is make_neighborhood_lookup(nodes, 0),
+/// named "decentralized".
 std::unique_ptr<LookupStrategy> make_decentralized_lookup(
     std::vector<RegistryNode*> nodes);
 
 /// The paper's "mixed" scheme: full replication within a k-neighborhood
-/// (ring topology), distributed queries beyond it.
+/// (ring topology), distributed queries beyond it (the walks in
+/// util/spectrum.hpp).
 std::unique_ptr<LookupStrategy> make_neighborhood_lookup(
     std::vector<RegistryNode*> nodes, std::size_t k);
 

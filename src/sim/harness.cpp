@@ -16,20 +16,6 @@ namespace {
 /// real deliveries, not just dropped frames.
 constexpr std::uint16_t kNoisePort = 7700;
 
-const char* protocol_label(SimConfig::Protocol protocol) {
-  switch (protocol) {
-    case SimConfig::Protocol::kFullSynchrony:
-      return "full-synchrony";
-    case SimConfig::Protocol::kDecentralized:
-      return "decentralized";
-    case SimConfig::Protocol::kNeighborhood:
-      return "neighborhood";
-    case SimConfig::Protocol::kSharded:
-      return "sharded";
-  }
-  return "?";
-}
-
 }  // namespace
 
 SimHarness::SimHarness(SimConfig config, std::uint64_t seed)
@@ -91,7 +77,7 @@ Status SimHarness::setup() {
 
   trace_.record(0, "boot",
                 config_.scenario + " nodes=" + std::to_string(config_.nodes) +
-                    " protocol=" + protocol_label(config_.protocol) +
+                    " protocol=" + dvm_->coherency() +
                     (config_.buggy_coherency ? "(buggy)" : "") +
                     (config_.buggy_shard ? "(buggy-ae)" : "") +
                     (config_.buggy_hint_drop ? "(buggy-hints)" : "") +

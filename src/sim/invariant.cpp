@@ -133,8 +133,8 @@ class MonotonicEpoch final : public Invariant {
 
 /// The h2.net.* counters must mirror SimNetwork::stats() exactly. The
 /// counters are cumulative since network construction and the harness
-/// never calls reset_stats(), so any divergence means an instrumentation
-/// path updated one ledger but not the other.
+/// never calls reset_stats(), so any divergence means stats() no longer
+/// reports the counters it is read from.
 class MetricsConsistency final : public Invariant {
  public:
   const char* name() const override { return "metrics-consistency"; }

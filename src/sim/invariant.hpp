@@ -51,8 +51,8 @@ std::unique_ptr<Invariant> make_monotonic_epoch();
 
 /// The observability layer agrees with the network's own accounting:
 /// every h2.net.* counter in the metrics registry equals the matching
-/// SimNetwork::stats() field. Catches instrumentation drift — a code path
-/// that bumps one but not the other.
+/// SimNetwork::stats() field. stats() is read from those counters, so
+/// this pins that a sim run, which never resets, reports them unchanged.
 std::unique_ptr<Invariant> make_metrics_consistency();
 
 /// No lost events: at a settle point (all loops pumped to quiescence)

@@ -106,14 +106,12 @@ Result<ByteBuffer> SimNetwork::call(HostId from, HostId to, std::uint16_t port,
   if (auto s = check_host(from); !s.ok()) return s.error();
   if (auto s = check_host(to); !s.ok()) return s.error();
   if (!reachable(from, to)) {
-    ++stats_.drops;
     c_drops_.add();
     return err::unavailable("simnet: " + hosts_[from].name + " cannot reach " +
                             hosts_[to].name + " (partitioned)");
   }
   auto it = hosts_[to].servers.find(port);
   if (it == hosts_[to].servers.end()) {
-    ++stats_.drops;
     c_drops_.add();
     return err::unavailable("simnet: connection refused, " + hosts_[to].name + ":" +
                             std::to_string(port));
@@ -122,23 +120,18 @@ Result<ByteBuffer> SimNetwork::call(HostId from, HostId to, std::uint16_t port,
   if (fault_hook_) {
     fault = fault_hook_(MessageInfo{from, to, port, request.size(), /*is_call=*/true});
     if (fault.drop) {
-      ++stats_.drops;
-      ++stats_.faults;
       c_drops_.add();
       c_faults_.add();
       return err::unavailable("simnet: request lost, " + hosts_[from].name + " -> " +
                               hosts_[to].name + ":" + std::to_string(port));
     }
     if (fault.duplicates > 0 || fault.drop_reply) {
-      ++stats_.faults;
       c_faults_.add();
     }
   }
 
   LinkSpec link = link_between(from, to);
   clock_.advance(link.transfer_time(request.size()));
-  ++stats_.messages;
-  stats_.bytes += request.size();
   c_messages_.add();
   c_bytes_.add(request.size());
 
@@ -152,8 +145,6 @@ Result<ByteBuffer> SimNetwork::call(HostId from, HostId to, std::uint16_t port,
     auto again = hosts_[to].servers.find(port);
     if (again == hosts_[to].servers.end()) break;
     clock_.advance(link.transfer_time(request.size()));
-    ++stats_.messages;
-    stats_.bytes += request.size();
     c_messages_.add();
     c_bytes_.add(request.size());
     (void)again->second(request);
@@ -164,16 +155,12 @@ Result<ByteBuffer> SimNetwork::call(HostId from, HostId to, std::uint16_t port,
   if (fault.drop_reply) {
     // The handler already ran — the caller cannot distinguish this from a
     // slow server, hence kTimeout ("maybe executed"), never kUnavailable.
-    ++stats_.drops;
     c_drops_.add();
     return err::timeout("simnet: reply lost, " + hosts_[to].name + ":" +
                         std::to_string(port) + " -> " + hosts_[from].name);
   }
 
   clock_.advance(link.transfer_time(response->size()));
-  ++stats_.messages;
-  ++stats_.calls;
-  stats_.bytes += response->size();
   c_messages_.add();
   c_calls_.add();
   c_bytes_.add(response->size());
@@ -185,7 +172,6 @@ Status SimNetwork::send(HostId from, HostId to, std::uint16_t port,
   if (auto s = check_host(from); !s.ok()) return s;
   if (auto s = check_host(to); !s.ok()) return s;
   if (!reachable(from, to)) {
-    ++stats_.drops;
     c_drops_.add();
     return err::unavailable("simnet: partitioned");
   }
@@ -196,20 +182,15 @@ Status SimNetwork::send(HostId from, HostId to, std::uint16_t port,
   if (fault.drop) {
     // The sender cannot tell a dropped datagram from a delivered one, so
     // losing it is still "success" from its point of view.
-    ++stats_.drops;
-    ++stats_.faults;
     c_drops_.add();
     c_faults_.add();
     return Status::success();
   }
   LinkSpec link = link_between(from, to);
   Nanos arrival = clock_.now() + link.transfer_time(payload.size()) + fault.delay;
-  ++stats_.messages;
-  stats_.bytes += payload.size();
   c_messages_.add();
   c_bytes_.add(payload.size());
   if (fault.duplicates > 0 || fault.delay > 0) {
-    ++stats_.faults;
     c_faults_.add();
   }
   for (unsigned copy = 0; copy < fault.duplicates; ++copy) {
@@ -229,7 +210,6 @@ std::size_t SimNetwork::pump() {
     clock_.advance_to(next.arrival);
     auto it = hosts_[next.to].servers.find(next.port);
     if (it == hosts_[next.to].servers.end()) {
-      ++stats_.drops;
       c_drops_.add();
       continue;
     }

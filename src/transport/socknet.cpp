@@ -243,7 +243,6 @@ Result<ByteBuffer> SockNet::call(HostId from, HostId to, std::uint16_t port,
     if (auto s = check_host(to); !s.ok()) return s.error();
     auto it = hosts_[to].servers.find(port);
     if (it == hosts_[to].servers.end()) {
-      ++stats_.drops;
       c_drops_.add();
       return err::unavailable("socknet: connection refused, " + hosts_[to].name + ":" +
                               std::to_string(port));
@@ -269,7 +268,6 @@ Result<ByteBuffer> SockNet::call(HostId from, HostId to, std::uint16_t port,
       auto dialed = sock::dial(addr, kCallTimeout);
       if (!dialed.ok()) {
         std::lock_guard lock(mu_);
-        ++stats_.drops;
         c_drops_.add();
         return err::unavailable("socknet: connection refused, " + hosts_[to].name +
                                 ":" + std::to_string(port) + " (" +
@@ -287,9 +285,6 @@ Result<ByteBuffer> SockNet::call(HostId from, HostId to, std::uint16_t port,
       std::lock_guard lock(mu_);
       // Same accounting as SimNetwork's successful round trip: one message
       // per direction, payload bytes only (the length prefix is framing).
-      stats_.messages += 2;
-      stats_.bytes += request.size() + response->size();
-      ++stats_.calls;
       c_messages_.add(2);
       c_bytes_.add(request.size() + response->size());
       c_calls_.add();
@@ -305,14 +300,11 @@ Result<ByteBuffer> SockNet::call(HostId from, HostId to, std::uint16_t port,
     if (response.error().code() == ErrorCode::kTimeout) {
       // Reply never arrived — the handler may or may not have run, exactly
       // the ambiguity SimNetwork's drop_reply models.
-      std::lock_guard lock(mu_);
-      ++stats_.drops;
       c_drops_.add();
     }
     return response.error();
   }
   std::lock_guard lock(mu_);
-  ++stats_.drops;
   c_drops_.add();
   return err::unavailable("socknet: connection refused, " + hosts_[to].name + ":" +
                           std::to_string(port) + " (pooled and fresh both failed)");

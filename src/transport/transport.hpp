@@ -110,13 +110,22 @@ class Transport {
 
   // ---- shared infrastructure --------------------------------------------------
 
-  const NetStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = NetStats{}; }
+  /// Traffic since construction or the last reset_stats(): the h2.net.*
+  /// counters, less the baseline reset_stats() recorded.
+  NetStats stats() const {
+    return {c_messages_.value() - baseline_.messages, c_bytes_.value() - baseline_.bytes,
+            c_calls_.value() - baseline_.calls, c_drops_.value() - baseline_.drops,
+            c_faults_.value() - baseline_.faults};
+  }
+  void reset_stats() {
+    baseline_ = {};
+    baseline_ = stats();
+  }
 
   /// The world's metrics registry. Every layer running over this
   /// transport (kernel, container, DVM) records here, so one snapshot
-  /// covers the whole stack. Both transports mirror NetStats into the
-  /// h2.net.* counters.
+  /// covers the whole stack. The h2.net.* counters are the one traffic
+  /// ledger; stats() reads them.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -145,7 +154,6 @@ class Transport {
 
  protected:
   Clock* time_source_;
-  NetStats stats_;
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;
   // Cached handles: the traffic hot path must not touch the name map.
@@ -157,6 +165,7 @@ class Transport {
   ByteBufferPool buffer_pool_;
 
  private:
+  NetStats baseline_;  ///< counter readings at the last reset_stats()
   std::atomic<std::uint64_t> call_serial_{0};
   std::shared_ptr<resil::BreakerRegistry> breakers_;
 };

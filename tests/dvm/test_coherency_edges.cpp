@@ -2,11 +2,20 @@
 // neighborhoods, and erase visibility semantics.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "dvm/dvm.hpp"
 #include "plugins/standard.hpp"
+#include "util/rng.hpp"
 
 namespace h2::dvm {
 namespace {
+
+/// `prefix` followed by `n` ("k3").
+std::string numbered(std::string prefix, std::uint64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
 
 class CoherencyEdgeTest : public ::testing::Test {
  protected:
@@ -161,6 +170,79 @@ TEST_F(CoherencyEdgeTest, DecentralizedBatchStaysLocal) {
   EXPECT_EQ(net_.stats().calls, 0u);
   EXPECT_TRUE(dvm->member(names[1])->state().get("k1").has_value());
   EXPECT_FALSE(dvm->member(names[0])->state().get("k1").has_value());
+}
+
+// make_decentralized() is make_neighborhood(0): one seeded mix of sets,
+// write storms (with a key overwritten inside the storm), reads and
+// erases leaves the same state on every node, reads the same answers and
+// sends the same traffic under either factory. Both factories build the
+// same class today, so this guards against a second decentralized class
+// coming back with its own behaviour (e.g. a set_batch that applies
+// writes one by one instead of coalescing them).
+TEST_F(CoherencyEdgeTest, DecentralizedIsNeighborhoodOfZero) {
+  struct Outcome {
+    std::vector<std::map<std::string, std::string>> state;
+    std::vector<std::string> reads;
+    net::NetStats traffic;
+  };
+  auto run = [this](std::unique_ptr<CoherencyProtocol> protocol) {
+    constexpr std::size_t kMembers = 4;
+    net::SimNetwork net;
+    std::vector<std::unique_ptr<container::Container>> containers;
+    Dvm dvm("mix", std::move(protocol));
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      std::string name = numbered("m", i);
+      containers.push_back(
+          std::make_unique<container::Container>(name, repo_, net, *net.add_host(name)));
+      EXPECT_TRUE(dvm.add_node(*containers.back()).ok());
+    }
+    net.reset_stats();
+    Rng rng(24);
+    Outcome out;
+    for (std::uint64_t op = 0; op < 400; ++op) {
+      const std::string node = numbered("m", rng.next_below(kMembers));
+      const std::string key = numbered("k", rng.next_below(6));
+      const std::string other = numbered("k", rng.next_below(6));
+      const std::string value = numbered("v", op);
+      const std::string later = value + "'";
+      switch (rng.next_below(4)) {
+        case 0:
+          EXPECT_TRUE(dvm.set(node, key, value).ok());
+          break;
+        case 1: {
+          const KV writes[] = {{key, value}, {other, value}, {key, later}};
+          EXPECT_TRUE(dvm.set_batch(node, writes).ok());
+          break;
+        }
+        case 2: {
+          auto got = dvm.get(node, key);
+          out.reads.push_back(got.ok() ? *got : got.error().describe());
+          break;
+        }
+        default:
+          EXPECT_TRUE(dvm.erase(node, key).ok());
+          break;
+      }
+    }
+    for (const std::string& name : dvm.node_names()) {
+      const StateStore& store = dvm.member(name)->state();
+      std::map<std::string, std::string> state;
+      for (const std::string& key : store.keys()) state[key] = *store.get(key);
+      out.state.push_back(std::move(state));
+    }
+    out.traffic = net.stats();
+    return out;
+  };
+
+  const Outcome decentralized = run(make_decentralized());
+  const Outcome neighborhood = run(make_neighborhood(0));
+  EXPECT_EQ(decentralized.state, neighborhood.state);
+  EXPECT_EQ(decentralized.reads, neighborhood.reads);
+  EXPECT_GT(decentralized.traffic.calls, 0u);  // remote reads happened
+  EXPECT_EQ(decentralized.traffic.messages, neighborhood.traffic.messages);
+  EXPECT_EQ(decentralized.traffic.bytes, neighborhood.traffic.bytes);
+  EXPECT_EQ(decentralized.traffic.calls, neighborhood.traffic.calls);
+  EXPECT_STREQ(make_neighborhood(0)->name(), "decentralized");
 }
 
 TEST_F(CoherencyEdgeTest, EmptyBatchIsANoOp) {

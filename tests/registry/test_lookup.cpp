@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "transport/socknet.hpp"
 #include "wsdl/descriptor.hpp"
 
 namespace h2::reg {
@@ -160,6 +161,121 @@ TEST_F(LookupTest, RegistryNodeStopUnbindsPort) {
   // Centralized against a stopped center fails loudly.
   auto strategy = make_centralized_lookup(raw_, 0);
   EXPECT_FALSE(strategy->publish(1, make_service("X", "node1")).ok());
+}
+
+/// `n` started registry nodes over a transport of their own.
+template <typename Net>
+struct Cluster {
+  template <typename... NetArgs>
+  explicit Cluster(std::size_t n, NetArgs... net_args) : net(net_args...) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string name = "node";
+      name += std::to_string(i);
+      auto id = *net.add_host(name);
+      nodes.push_back(std::make_unique<RegistryNode>(net, id, clock));
+      EXPECT_TRUE(nodes.back()->start().ok());
+      raw.push_back(nodes.back().get());
+    }
+  }
+
+  VirtualClock clock;
+  Net net;
+  std::vector<std::unique_ptr<RegistryNode>> nodes;
+  std::vector<RegistryNode*> raw;
+};
+
+// make_decentralized_lookup is make_neighborhood_lookup(nodes, 0): the
+// same publishes and lookups (hits, local hits, misses) give the same
+// answers, the same registry contents and the same traffic. Both
+// factories build the same class today, so this guards against a second
+// decentralized strategy coming back with its own walk.
+TEST(LookupSpectrum, DecentralizedIsNeighborhoodOfZero) {
+  auto run = [](bool as_neighborhood) {
+    Cluster<net::SimNetwork> cluster(6);
+    auto strategy = as_neighborhood ? make_neighborhood_lookup(cluster.raw, 0)
+                                     : make_decentralized_lookup(cluster.raw);
+    EXPECT_STREQ(strategy->name(), "decentralized");
+    std::vector<std::string> transcript;
+    for (std::size_t from : {0, 2, 5}) {
+      std::string name = "S";
+      name += std::to_string(from);
+      EXPECT_TRUE(strategy->publish(from, make_service(name, "node")).ok());
+    }
+    for (std::size_t from = 0; from < cluster.raw.size(); ++from) {
+      for (const char* service : {"S0Service", "S5Service", "GhostService"}) {
+        auto found = strategy->lookup(from, service);
+        transcript.push_back(found.ok() ? found->name : found.error().describe());
+      }
+    }
+    for (const RegistryNode* node : cluster.raw) {
+      transcript.push_back(std::to_string(node->registry().size()));
+    }
+    const net::NetStats traffic = cluster.net.stats();
+    transcript.push_back(std::to_string(traffic.messages) + " " +
+                         std::to_string(traffic.calls) + " " +
+                         std::to_string(traffic.bytes));
+    return transcript;
+  };
+  EXPECT_EQ(run(false), run(true));
+}
+
+// EXP-LOOKUP's deterministic counts: a registration costs 2 / 0 / 4
+// messages (centralized / decentralized / neighborhood k=2) at 4, 16 and
+// 64 nodes, and a miss at 16 nodes costs 2 / 30 / 30.
+TEST(LookupSpectrum, ExpLookupMessageCounts) {
+  auto strategies = [](std::vector<RegistryNode*> raw) {
+    std::vector<std::unique_ptr<LookupStrategy>> out;
+    out.push_back(make_centralized_lookup(raw, 0));
+    out.push_back(make_decentralized_lookup(raw));
+    out.push_back(make_neighborhood_lookup(raw, 2));
+    return out;
+  };
+  for (std::size_t n : {4, 16, 64}) {
+    Cluster<net::SimNetwork> cluster(n);
+    const std::uint64_t per_register[] = {2, 0, 4};
+    auto spectrum = strategies(cluster.raw);
+    int published = 0;
+    for (std::size_t s = 0; s < spectrum.size(); ++s) {
+      for (std::size_t from : {std::size_t{0}, n / 2, n - 1}) {
+        const std::uint64_t before = cluster.net.stats().messages;
+        std::string name = "R";
+        name += std::to_string(published++);
+        ASSERT_TRUE(spectrum[s]->publish(from, make_service(name, "node")).ok());
+        EXPECT_EQ(cluster.net.stats().messages - before, per_register[s])
+            << spectrum[s]->name() << " from " << from << " of " << n;
+      }
+    }
+  }
+  Cluster<net::SimNetwork> cluster(16);
+  const std::uint64_t per_miss[] = {2, 30, 30};
+  auto spectrum = strategies(cluster.raw);
+  for (std::size_t s = 0; s < spectrum.size(); ++s) {
+    const std::uint64_t before = cluster.net.stats().messages;
+    EXPECT_FALSE(spectrum[s]->lookup(0, "GhostService").ok());
+    EXPECT_EQ(cluster.net.stats().messages - before, per_miss[s]) << spectrum[s]->name();
+  }
+}
+
+// The lookup spectrum over real loopback TCP: a neighborhood(k=2)
+// publish, a lookup inside the neighbourhood and one beyond it send the
+// same traffic as the same sequence over the simulator.
+TEST(LookupSpectrum, NeighborhoodOverSocketsMatchesSim) {
+  auto run = [](auto& cluster) {
+    auto strategy = make_neighborhood_lookup(cluster.raw, 2);
+    EXPECT_TRUE(strategy->publish(0, make_service("Alpha", "node0")).ok());
+    auto near = strategy->lookup(2, "AlphaService");
+    auto far = strategy->lookup(4, "AlphaService");
+    EXPECT_TRUE(near.ok() && far.ok());
+    return cluster.net.stats();
+  };
+  Cluster<net::SimNetwork> sim(6);
+  Cluster<net::SockNet> tcp(6, net::SockFamily::kTcp);
+  const net::NetStats over_sim = run(sim);
+  const net::NetStats over_tcp = run(tcp);
+  EXPECT_EQ(over_sim.calls, 3u);  // two replications, one far query
+  EXPECT_EQ(over_tcp.messages, over_sim.messages);
+  EXPECT_EQ(over_tcp.calls, over_sim.calls);
+  EXPECT_EQ(over_tcp.bytes, over_sim.bytes);
 }
 
 }  // namespace
